@@ -9,10 +9,11 @@
 //! state-bearing workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rvsim_bench::{program_mixed, simulator, start_server};
+use rvsim_bench::{program_mixed, simulator};
 use rvsim_core::{ArchitectureConfig, ProcessorSnapshot};
-use rvsim_loadgen::{run_load_test, Scenario};
-use rvsim_server::DeploymentMode;
+use rvsim_loadgen::{run_load_test_tcp, LoadTestReport, Scenario};
+use rvsim_net::{NetConfig, NetServer};
+use rvsim_server::{DeploymentConfig, DeploymentMode, SimulationServer};
 use std::hint::black_box;
 
 fn snapshot_json() -> Vec<u8> {
@@ -45,28 +46,32 @@ fn bench_compressor(c: &mut Criterion) {
     group.finish();
 }
 
+/// Run 30 users for `steps` steps each against a fresh loopback front end
+/// over a direct-mode server with compression on or off.
+fn load_test(compress: bool, steps: usize) -> LoadTestReport {
+    let deployment = DeploymentConfig {
+        mode: DeploymentMode::Direct,
+        compress_responses: compress,
+        idle_session_ttl_seconds: None,
+    };
+    let net = NetServer::start(SimulationServer::new(deployment), NetConfig::default())
+        .expect("loopback front end starts");
+    let mut scenario = Scenario::paper_scaled(30, 0.001);
+    scenario.steps_per_user = steps;
+    let report = run_load_test_tcp(net.local_addr(), &scenario);
+    net.shutdown();
+    report
+}
+
 fn bench_load_with_and_without_compression(c: &mut Criterion) {
     let mut group = c.benchmark_group("load_test_compression");
     group.sample_size(10);
 
     println!("\nE2 — load-test throughput with and without response compression:");
     for (label, compress) in [("uncompressed", false), ("compressed", true)] {
-        let server = start_server(DeploymentMode::Direct, compress, 4);
-        let mut scenario = Scenario::paper_scaled(30, 0.001);
-        scenario.steps_per_user = 10;
-        let report = run_load_test(&server, &scenario);
-        println!("  {}", report.table_row(label));
-        server.shutdown();
-
+        println!("  {}", load_test(compress, 10).table_row(label));
         group.bench_with_input(BenchmarkId::new("30_users", label), &compress, |b, &compress| {
-            b.iter(|| {
-                let server = start_server(DeploymentMode::Direct, compress, 4);
-                let mut scenario = Scenario::paper_scaled(30, 0.001);
-                scenario.steps_per_user = 5;
-                let report = run_load_test(&server, &scenario);
-                server.shutdown();
-                report.transactions
-            });
+            b.iter(|| load_test(compress, 5).transactions);
         });
     }
     group.finish();

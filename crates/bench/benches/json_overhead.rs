@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rvsim_bench::{program_mixed, simulator};
 use rvsim_core::{ArchitectureConfig, ProcessorSnapshot};
-use rvsim_server::{DeploymentConfig, DeploymentMode, Request, SimulationServer};
+use rvsim_server::{decode_response, DeploymentConfig, DeploymentMode, Request, SimulationServer};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -57,16 +57,17 @@ fn bench_components(c: &mut Criterion) {
         let server = SimulationServer::new(DeploymentConfig {
             mode: DeploymentMode::Direct,
             compress_responses: true,
-            worker_threads: 1,
             idle_session_ttl_seconds: None,
         });
-        let session = match server.handle(Request::CreateSession {
+        let create = serde_json::to_vec(&Request::CreateSession {
             program: program_mixed(),
             architecture: None,
             entry: None,
             session: None,
-        }) {
-            rvsim_server::Response::SessionCreated { session } => session,
+        })
+        .unwrap();
+        let session = match decode_response(&server.handle_raw(&create)) {
+            Ok(rvsim_server::Response::SessionCreated { session }) => session,
             other => panic!("unexpected {other:?}"),
         };
         let step = serde_json::to_vec(&Request::Step { session, cycles: 1 }).unwrap();

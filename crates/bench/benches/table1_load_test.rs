@@ -4,9 +4,10 @@
 //! The paper's scenario: each user interactively simulates 40 steps of one of
 //! two programs, 4 s ramp-up, 1 s think time, gzip enabled.  Here the think
 //! and ramp times are scaled down (the queueing behaviour that produces the
-//! table's shape comes from the per-request work and the worker pool, not
-//! from the absolute think time), and the full paper-style rows are printed
-//! alongside the Criterion measurement.
+//! table's shape comes from the per-request work and the server's four
+//! dispatch workers, not from the absolute think time), every user talks to
+//! the server over a loopback keep-alive connection, and the full
+//! paper-style rows are printed alongside the Criterion measurement.
 //!
 //! Expected shape (paper: Direct 30 → 70.66/118 ms, 25.96 t/s; Direct 100 →
 //! 680/1248.9 ms, 53.61 t/s; Docker rows slower): latency grows sharply from
@@ -14,14 +15,27 @@
 //! throughput roughly doubles as the offered load grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rvsim_bench::start_server;
-use rvsim_loadgen::{run_load_test, Scenario};
-use rvsim_server::DeploymentMode;
+use rvsim_loadgen::{run_load_test_tcp, LoadTestReport, Scenario};
+use rvsim_net::{NetConfig, NetServer};
+use rvsim_server::{DeploymentConfig, DeploymentMode, SimulationServer};
 
 fn scenario(users: usize) -> Scenario {
     let mut s = Scenario::paper_scaled(users, 0.001);
     s.steps_per_user = 10; // keep each Criterion iteration in the hundreds of ms
     s
+}
+
+/// Run the scenario for `users` against a fresh loopback front end (four
+/// dispatch workers) over a compressing server in `mode`.
+fn load_test(mode: DeploymentMode, users: usize) -> LoadTestReport {
+    let deployment =
+        DeploymentConfig { mode, compress_responses: true, idle_session_ttl_seconds: None };
+    let net_config = NetConfig { dispatch_workers: 4, ..NetConfig::default() };
+    let net = NetServer::start(SimulationServer::new(deployment), net_config)
+        .expect("loopback front end starts");
+    let report = run_load_test_tcp(net.local_addr(), &scenario(users));
+    net.shutdown();
+    report
 }
 
 fn bench_table1(c: &mut Criterion) {
@@ -40,25 +54,16 @@ fn bench_table1(c: &mut Criterion) {
             ("Docker", DeploymentMode::Containerized { request_overhead_us: 150 }),
         ] {
             // Print the paper-style row once, outside the measurement loop.
-            let server = start_server(mode, true, 4);
-            let report = run_load_test(&server, &scenario(users));
+            let report = load_test(mode, users);
             println!(
                 "{label:<10} {users:>6} {:>12.2} {:>10.2} {:>14.2}",
                 report.median_latency_ms, report.p90_latency_ms, report.throughput_tps
             );
-            server.shutdown();
 
             group.bench_with_input(
                 BenchmarkId::new(label, users),
                 &(mode, users),
-                |b, &(mode, users)| {
-                    b.iter(|| {
-                        let server = start_server(mode, true, 4);
-                        let report = run_load_test(&server, &scenario(users));
-                        server.shutdown();
-                        report.transactions
-                    });
-                },
+                |b, &(mode, users)| b.iter(|| load_test(mode, users).transactions),
             );
         }
     }

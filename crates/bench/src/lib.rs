@@ -1,7 +1,7 @@
 //! Shared workloads and helpers for the benchmark harness.
 //!
 //! Every bench target in `benches/` regenerates one artefact of the paper's
-//! evaluation (see DESIGN.md §2 for the experiment index).  The helpers here
+//! evaluation (the bench file's doc names its experiment).  The helpers here
 //! provide the sample programs, server/scenario constructors and the
 //! table-style printing used across the benches so that each bench file
 //! focuses on its experiment.
@@ -10,7 +10,7 @@
 
 use rvsim_core::{ArchitectureConfig, Simulator};
 use rvsim_mem::{ArrayFill, MemoryArray, MemorySettings, ScalarType};
-use rvsim_server::{DeploymentConfig, DeploymentMode, SimulationServer, ThreadedServer};
+use rvsim_server::{DeploymentConfig, DeploymentMode, SimulationServer};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -85,16 +85,6 @@ pub fn run_to_completion(program: &str, config: &ArchitectureConfig) -> (u64, f6
     sim.run(10_000_000).expect("benchmark program runs");
     let stats = sim.statistics();
     (stats.cycles, stats.ipc())
-}
-
-/// Start a threaded server in the given deployment mode.
-pub fn start_server(mode: DeploymentMode, compress: bool, workers: usize) -> ThreadedServer {
-    ThreadedServer::start(SimulationServer::new(DeploymentConfig {
-        mode,
-        compress_responses: compress,
-        worker_threads: workers,
-        idle_session_ttl_seconds: None,
-    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -340,7 +330,7 @@ pub struct RawRequestSample {
     pub payload_bytes: u64,
 }
 
-/// One load-generator row (threaded server, paper scenario).
+/// One load-generator row (paper scenario over loopback TCP).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServerLoadSample {
     /// Concurrent simulated users.
@@ -359,11 +349,8 @@ pub struct ServerLoadSample {
 pub struct ServerBenchReport {
     /// Raw request-path samples.
     pub raw: Vec<RawRequestSample>,
-    /// Load-generator samples (in-process transport).
-    pub load: Vec<ServerLoadSample>,
-    /// Load-generator samples over the real TCP/HTTP front end
-    /// (`rvsim-net`, loopback).  Empty when the environment forbids
-    /// loopback sockets — the in-process numbers above are unaffected.
+    /// Load-generator samples over the TCP/HTTP front end (`rvsim-net`,
+    /// loopback).  Empty when the environment forbids loopback sockets.
     #[serde(default)]
     pub tcp: Vec<ServerLoadSample>,
     /// High-connection sweep: the same aggregate request rate paced over
@@ -432,7 +419,6 @@ pub fn raw_bench_server(compress: bool) -> (SimulationServer, u64) {
     let server = SimulationServer::new(DeploymentConfig {
         mode: DeploymentMode::Direct,
         compress_responses: compress,
-        worker_threads: 1,
         idle_session_ttl_seconds: None,
     });
     let create = serde_json::to_vec(&rvsim_server::Request::CreateSession {
@@ -443,7 +429,7 @@ pub fn raw_bench_server(compress: bool) -> (SimulationServer, u64) {
     })
     .expect("request serializes");
     let payload = server.handle_raw(&create);
-    let response = SimulationServer::decode_response(&payload).expect("create decodes");
+    let response = rvsim_server::decode_response(&payload).expect("create decodes");
     let session = match response {
         rvsim_server::Response::SessionCreated { session } => session,
         other => panic!("unexpected create response {other:?}"),
@@ -490,10 +476,9 @@ fn measure_raw(scenario: &str, compress: bool, min_seconds: f64) -> RawRequestSa
 }
 
 /// Run the full server-throughput benchmark: raw `GetState` request path
-/// (with and without compression, cached and stepping patterns), the
-/// paper's load-test scenario over `options.users` user counts on the
-/// in-process transport, and the same scenario over the TCP/HTTP front end
-/// on loopback.
+/// (with and without compression, cached and stepping patterns) and the
+/// paper's load-test scenario over `options.users` user counts through the
+/// TCP/HTTP front end on loopback.
 pub fn run_server_bench(options: &ServerBenchOptions) -> ServerBenchReport {
     let mut raw = Vec::new();
     for compress in [true, false] {
@@ -501,22 +486,8 @@ pub fn run_server_bench(options: &ServerBenchOptions) -> ServerBenchReport {
             raw.push(measure_raw(scenario, compress, options.min_seconds));
         }
     }
-
-    let mut load = Vec::new();
-    for &users in &options.users {
-        for mode in ["full", "delta"] {
-            let server = start_server(DeploymentMode::Direct, true, 4);
-            let mut scenario = rvsim_loadgen::Scenario::paper_scaled(users, options.time_scale);
-            scenario.programs = vec![program_server()];
-            scenario.delta_state = mode == "delta";
-            let report = rvsim_loadgen::run_load_test(&server, &scenario);
-            server.shutdown();
-            load.push(ServerLoadSample { users, compressed: true, mode: mode.to_string(), report });
-        }
-    }
     ServerBenchReport {
         raw,
-        load,
         tcp: run_tcp_load_bench(options),
         high_connection: Vec::new(),
         multi_node: None,
@@ -536,7 +507,6 @@ pub fn run_tcp_load_bench(options: &ServerBenchOptions) -> Vec<ServerLoadSample>
             let deployment = DeploymentConfig {
                 mode: DeploymentMode::Direct,
                 compress_responses: true,
-                worker_threads: 4,
                 idle_session_ttl_seconds: None,
             };
             let net_config = rvsim_net::NetConfig {
@@ -636,7 +606,6 @@ fn start_emulated_backend() -> std::io::Result<rvsim_net::NetServer> {
         SimulationServer::new(DeploymentConfig {
             mode: DeploymentMode::RemoteEmulated { service_time_us: MULTI_NODE_SERVICE_TIME_US },
             compress_responses: true,
-            worker_threads: 1,
             idle_session_ttl_seconds: None,
         }),
         rvsim_net::NetConfig {
@@ -762,7 +731,6 @@ fn measure_multi_node_drain(seconds: f64) -> Result<MultiNodeDrainSample, String
                 SimulationServer::new(DeploymentConfig {
                     mode: DeploymentMode::Direct,
                     compress_responses: true,
-                    worker_threads: 2,
                     idle_session_ttl_seconds: None,
                 }),
                 rvsim_net::NetConfig {
@@ -894,7 +862,6 @@ fn measure_durability(seconds: f64) -> Result<DurabilitySection, String> {
             DeploymentConfig {
                 mode: DeploymentMode::Direct,
                 compress_responses: true,
-                worker_threads: 2,
                 idle_session_ttl_seconds: None,
             },
             rvsim_server::CheckpointConfig {
@@ -1080,8 +1047,8 @@ pub struct ObservabilitySection {
     /// (negative = slower).  The observability budget is |delta| ≤ 5%.
     #[serde(default)]
     pub headline_delta_ratio: Option<f64>,
-    /// 32-user full-snapshot in-process p90 of the previously committed
-    /// report, in milliseconds.
+    /// 32-user full-snapshot TCP p90 of the previously committed report, in
+    /// milliseconds.
     #[serde(default)]
     pub baseline_load_p90_ms: Option<f64>,
     /// This run's 32-user full-snapshot p90 relative to the baseline.
@@ -1209,13 +1176,6 @@ mod tests {
     }
 
     #[test]
-    fn server_helper_starts_and_stops() {
-        let server = start_server(DeploymentMode::Direct, true, 2);
-        assert_eq!(server.server().session_count(), 0);
-        server.shutdown();
-    }
-
-    #[test]
     fn server_bench_harness_measures_all_cells() {
         let options = ServerBenchOptions { min_seconds: 0.0, time_scale: 0.0, users: vec![2] };
         let report = run_server_bench(&options);
@@ -1244,11 +1204,9 @@ mod tests {
             plain.payload_bytes
         );
         assert!(report.headline_get_state_rps().unwrap() > 0.0);
-        assert!(!report.load.is_empty());
-        assert!(report.load.iter().all(|l| l.report.errors == 0));
-        // The TCP section runs the same scenario over loopback; when the
+        // The TCP section runs the paper scenario over loopback; when the
         // sandbox forbids loopback sockets it is empty (and said so on
-        // stderr), never failing the in-process benchmark.
+        // stderr), never failing the raw request-path benchmark.
         if !report.tcp.is_empty() {
             assert_eq!(report.tcp.len(), 2, "full + delta per user count");
             assert!(report.tcp.iter().all(|l| l.report.errors == 0));
@@ -1257,7 +1215,8 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let back: ServerBenchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.raw, report.raw);
-        // A pre-TCP report (no `tcp` key) still deserializes.
+        // A pre-TCP report (no `tcp` key, an in-process `load` section)
+        // still deserializes.
         let legacy: ServerBenchReport = serde_json::from_str(r#"{"raw":[],"load":[]}"#).unwrap();
         assert!(legacy.tcp.is_empty());
     }

@@ -549,7 +549,7 @@ fn run_server_bench(options: &BenchCliOptions) -> Result<String, String> {
     // delta is the measured cost of the always-on request tracing.
     let now_rps = report.headline_get_state_rps();
     let now_p90 = report
-        .load
+        .tcp
         .iter()
         .find(|s| s.mode == "full" && s.users == 32)
         .map(|s| s.report.p90_latency_ms);
@@ -565,7 +565,7 @@ fn run_server_bench(options: &BenchCliOptions) -> Result<String, String> {
                     section.headline_delta_ratio = Some(now / before - 1.0);
                 }
             }
-            section.baseline_load_p90_ms = old["load"].as_array().and_then(|rows| {
+            section.baseline_load_p90_ms = old["tcp"].as_array().and_then(|rows| {
                 rows.iter()
                     .find(|r| r["mode"] == "full" && r["users"] == 32)
                     .and_then(|r| r["report"]["p90_latency_ms"].as_f64())
@@ -586,7 +586,6 @@ fn run_server_bench(options: &BenchCliOptions) -> Result<String, String> {
             "time_scale": options.time_scale,
             "headline_get_state_rps": report.headline_get_state_rps(),
             "raw": report.raw,
-            "load": report.load,
             "tcp": report.tcp,
             "high_connection": report.high_connection,
             "multi_node": report.multi_node,
@@ -611,11 +610,6 @@ fn run_server_bench(options: &BenchCliOptions) -> Result<String, String> {
             "{:<12} {:>10} {:>12.0} {:>10.1} {:>10.1} {:>10}\n",
             s.scenario, s.compressed, s.requests_per_second, s.p50_us, s.p90_us, s.payload_bytes
         ));
-    }
-    out.push_str("=== load test (paper scenario, in-process) ===\n");
-    for s in &report.load {
-        out.push_str(&s.report.table_row(&format!("{}/{}", s.mode, s.users)));
-        out.push('\n');
     }
     out.push_str("=== load test (paper scenario, TCP loopback) ===\n");
     if report.tcp.is_empty() {
@@ -784,8 +778,7 @@ USAGE:
     rvsim-cli serve --tcp [OPTIONS]
 
 OPTIONS:
-    --tcp                   serve over TCP (mandatory: the only transport;
-                            in-process serving has no CLI — use the library)
+    --tcp                   serve over TCP (mandatory: the only transport)
     --router <A:P[,A:P..]>  run as a router tier instead of a simulation
                             node: consistent-hash sessions across the given
                             backend addresses, proxy the protocol, aggregate
@@ -828,7 +821,7 @@ OPTIONS:
 
 The protocol endpoint is POST /api with a JSON request body; the response
 body is the encoded payload (one flag byte, then plain or LZSS-compressed
-JSON — the same wire format SimulationServer::decode_response parses).
+JSON — the same wire format rvsim_server::decode_response parses).
 ";
 
 /// Parsed options of the `serve` subcommand.
@@ -1020,7 +1013,6 @@ pub fn start_serve(options: &ServeCliOptions) -> Result<rvsim_net::NetServer, St
     let deployment = rvsim_server::DeploymentConfig {
         mode: rvsim_server::DeploymentMode::Direct,
         compress_responses: options.compress,
-        worker_threads: 4,
         idle_session_ttl_seconds: options.idle_ttl_seconds,
     };
     let server = match &options.state_dir {
@@ -2516,7 +2508,9 @@ main:
         assert_eq!(raw.len(), 4);
         assert!(raw.iter().any(|s| s["scenario"] == "get_state" && s["compressed"] == true));
         assert!(value["headline_get_state_rps"].as_f64().unwrap() > 0.0);
-        assert!(!value["load"].as_array().unwrap().is_empty());
+        // The paper scenario runs over loopback (no rows where sockets are forbidden).
+        let loopback = std::net::TcpListener::bind("127.0.0.1:0").is_ok();
+        assert_eq!(value["tcp"].as_array().unwrap().is_empty(), !loopback);
         assert!(std::path::Path::new(&out).exists());
         std::fs::remove_dir_all(&dir).ok();
 

@@ -200,7 +200,7 @@ enum COp {
 /// A postfix semantics expression compiled to a flat op sequence.
 ///
 /// Compilation happens once per instruction descriptor (at predecode time);
-/// evaluation is then a tight loop over [`COp`]s with a fixed-size value
+/// evaluation is then a tight loop over compiled ops with a fixed-size value
 /// stack and interned-symbol bindings — no tokenizing, no hashing, no heap.
 ///
 /// For well-formed expressions (every built-in descriptor, and anything a
@@ -209,7 +209,7 @@ enum COp {
 /// The compiled path is deliberately stricter on degenerate inputs: argument
 /// references are resolved when *pushed* (an unbound ref the string
 /// evaluator would have left unconsumed becomes an "unbound argument"
-/// error), and expressions needing more than [`MAX_STACK`] stack slots or 4
+/// error), and expressions needing more than 16 stack slots or 4
 /// assignments are rejected at compile time instead of executing.
 #[derive(Debug, Clone)]
 pub struct CompiledExpr {

@@ -10,18 +10,18 @@
 //! scenario can run as a Criterion benchmark or a CI test in seconds instead
 //! of minutes; the *shape* of the results (queueing at high user counts,
 //! Docker overhead, gzip benefit) is unaffected because those effects come
-//! from the per-request work and the worker pool, not from the think time.
+//! from the per-request work and the server's dispatch workers, not from
+//! the think time.
 //!
-//! Two transports run the same scenario: the in-process worker pool
-//! ([`run_load_test`], the original stand-in) and the real TCP/HTTP front
-//! end ([`run_load_test_tcp`], one keep-alive connection per user through
-//! `rvsim-net` — the `--tcp` mode).
+//! All load goes over TCP to an `rvsim-net` front end: the scenario runs
+//! through [`run_load_test_tcp`], one keep-alive connection per user,
+//! exactly like a browser tab talking to the paper's Undertow deployment.
 
 #![warn(missing_docs)]
 
 use polling::{Events, Interest, Poller};
 use rvsim_obs::Histogram;
-use rvsim_server::{Request, Response, ServerClient, ThreadedServer};
+use rvsim_server::{is_error_payload, Request, Response};
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
@@ -173,34 +173,10 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Run a scenario against a running [`ThreadedServer`] (the in-process
-/// transport).
-pub fn run_load_test(server: &ThreadedServer, scenario: &Scenario) -> LoadTestReport {
-    run_load_test_with(scenario, |_user| {
-        let client: ServerClient = server.client();
-        move |request: &Request| client.call(request)
-    })
-}
-
-/// Run a scenario against a TCP/HTTP front end (`rvsim-net`) at `addr`: the
-/// `--tcp` transport.  Every user owns one keep-alive connection, exactly
-/// like a browser tab talking to the paper's Undertow deployment.
+/// Run a scenario against the TCP/HTTP front end (`rvsim-net`) at `addr`.
+/// Every user owns one keep-alive connection, exactly like a browser tab
+/// talking to the paper's Undertow deployment.
 pub fn run_load_test_tcp(addr: SocketAddr, scenario: &Scenario) -> LoadTestReport {
-    run_load_test_with(scenario, move |_user| {
-        let mut client = rvsim_net::TcpApiClient::new(addr);
-        move |request: &Request| client.call(request)
-    })
-}
-
-/// Transport-generic scenario driver: `make_client` builds one transport
-/// closure per user (moved into the user's thread).
-pub fn run_load_test_with<C>(
-    scenario: &Scenario,
-    make_client: impl Fn(usize) -> C,
-) -> LoadTestReport
-where
-    C: FnMut(&Request) -> Result<Response, String> + Send + 'static,
-{
     let started = Instant::now();
     let ramp_up = scenario.ramp_up();
     let think = scenario.think_time();
@@ -211,7 +187,7 @@ where
 
     let mut handles = Vec::with_capacity(users);
     for user in 0..users {
-        let mut call = make_client(user);
+        let mut client = rvsim_net::TcpApiClient::new(addr);
         let hist = Arc::clone(&hist);
         let program = scenario.programs[user % scenario.programs.len().max(1)].clone();
         let steps = scenario.steps_per_user;
@@ -229,7 +205,7 @@ where
 
             let mut timed_call = |request: &Request| -> Option<Response> {
                 let t0 = Instant::now();
-                let result = call(request);
+                let result = client.call(request);
                 let elapsed = t0.elapsed();
                 latencies.push(elapsed.as_secs_f64() * 1e3);
                 hist.record(elapsed.as_micros() as u64);
@@ -435,14 +411,9 @@ pub fn run_cached_state_fanout(
                 while !stop.load(std::sync::atomic::Ordering::Acquire) {
                     let body = &bodies[index % bodies.len().max(1)];
                     index = index.wrapping_add(1);
-                    // An in-band error is a plain payload (flag byte 0)
-                    // whose JSON leads with the serde tag `"type":"error"`.
                     let t0 = Instant::now();
                     match client.call_raw(body) {
-                        Ok(payload)
-                            if !(payload.first() == Some(&0)
-                                && payload[1..].starts_with(br#"{"type":"error""#)) =>
-                        {
+                        Ok(payload) if !is_error_payload(&payload) => {
                             requests += 1;
                             hist.record(t0.elapsed().as_micros() as u64);
                         }
@@ -923,13 +894,42 @@ mod tests {
     use super::*;
     use rvsim_server::{DeploymentConfig, DeploymentMode, SimulationServer};
 
-    fn server(compress: bool) -> ThreadedServer {
-        ThreadedServer::start(SimulationServer::new(DeploymentConfig {
+    /// A loopback front end (4 dispatch workers) over a fresh direct-mode
+    /// server, or `None` when the sandbox forbids loopback sockets.
+    fn front_end(compress: bool) -> Option<rvsim_net::NetServer> {
+        let deployment = DeploymentConfig {
             mode: DeploymentMode::Direct,
             compress_responses: compress,
-            worker_threads: 4,
             idle_session_ttl_seconds: None,
-        }))
+        };
+        let started = rvsim_net::NetServer::start(
+            SimulationServer::new(deployment),
+            rvsim_net::NetConfig::default(),
+        );
+        started.map_err(|e| eprintln!("skipping loopback test: {e}")).ok()
+    }
+
+    /// Create `count` sessions on the sample loop program, each stepped
+    /// `warm` cycles.
+    fn sessions(addr: SocketAddr, count: usize, warm: u64) -> Vec<u64> {
+        let mut setup = rvsim_net::TcpApiClient::new(addr);
+        (0..count)
+            .map(|_| {
+                let created = setup.call(&Request::CreateSession {
+                    program: sample_program_loop(),
+                    architecture: None,
+                    entry: None,
+                    session: None,
+                });
+                let Ok(Response::SessionCreated { session }) = created else {
+                    panic!("unexpected {created:?}");
+                };
+                if warm > 0 {
+                    setup.call(&Request::Step { session, cycles: warm }).unwrap();
+                }
+                session
+            })
+            .collect()
     }
 
     #[test]
@@ -957,10 +957,10 @@ mod tests {
 
     #[test]
     fn small_load_test_produces_sane_report() {
-        let server = server(true);
+        let Some(net) = front_end(true) else { return };
         let mut scenario = Scenario::paper_scaled(4, 0.0);
         scenario.steps_per_user = 5;
-        let report = run_load_test(&server, &scenario);
+        let report = run_load_test_tcp(net.local_addr(), &scenario);
         // 4 users × (1 create + 5 × (step + state) + 1 destroy) = 48 requests.
         assert_eq!(report.transactions, 48);
         assert_eq!(report.errors, 0);
@@ -969,56 +969,42 @@ mod tests {
         assert!(report.max_latency_ms >= report.p99_latency_ms, "p99 is clamped to the max");
         assert!(report.throughput_tps > 0.0);
         assert!(report.table_row("Direct").contains("4 users"));
-        server.shutdown();
+        net.shutdown();
     }
 
     #[test]
     fn more_users_than_workers_still_completes_without_errors() {
-        let server = server(false);
+        let Some(net) = front_end(false) else { return };
         let mut scenario = Scenario::paper_scaled(12, 0.0);
         scenario.steps_per_user = 3;
         scenario.fetch_state_each_step = false;
-        let report = run_load_test(&server, &scenario);
+        let report = run_load_test_tcp(net.local_addr(), &scenario);
         assert_eq!(report.errors, 0);
         assert_eq!(report.transactions, (12 * (3 + 2)) as u64);
-        server.shutdown();
+        net.shutdown();
     }
 
     #[test]
     fn delta_mode_completes_with_no_errors() {
-        let server = server(true);
+        let Some(net) = front_end(true) else { return };
         let mut scenario = Scenario::paper_scaled(3, 0.0);
         scenario.steps_per_user = 6;
         scenario.delta_state = true;
-        let report = run_load_test(&server, &scenario);
+        let report = run_load_test_tcp(net.local_addr(), &scenario);
         // Same request count as full mode: 3 × (create + 6 × (step + fetch) + destroy).
         assert_eq!(report.transactions, 42);
         assert_eq!(report.errors, 0, "delta fetches must all succeed");
-        server.shutdown();
+        net.shutdown();
     }
 
     #[test]
     fn tcp_transport_runs_the_same_scenario_with_no_errors() {
-        if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
-            eprintln!("skipping TCP transport test: loopback unavailable");
-            return;
-        }
-        let net = rvsim_net::NetServer::start(
-            SimulationServer::new(DeploymentConfig {
-                mode: DeploymentMode::Direct,
-                compress_responses: true,
-                worker_threads: 4,
-                idle_session_ttl_seconds: None,
-            }),
-            rvsim_net::NetConfig::default(),
-        )
-        .expect("net server starts");
+        let Some(net) = front_end(true) else { return };
         for delta in [false, true] {
             let mut scenario = Scenario::paper_scaled(3, 0.0);
             scenario.steps_per_user = 4;
             scenario.delta_state = delta;
             let report = run_load_test_tcp(net.local_addr(), &scenario);
-            // Same request count as the in-process transport:
             // 3 users × (create + 4 × (step + fetch) + destroy).
             assert_eq!(report.transactions, 30, "delta={delta}");
             assert_eq!(report.errors, 0, "delta={delta}");
@@ -1029,20 +1015,7 @@ mod tests {
 
     #[test]
     fn high_connection_sweep_completes_with_no_errors() {
-        if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
-            eprintln!("skipping high-connection test: loopback unavailable");
-            return;
-        }
-        let net = rvsim_net::NetServer::start(
-            SimulationServer::new(DeploymentConfig {
-                mode: DeploymentMode::Direct,
-                compress_responses: true,
-                worker_threads: 4,
-                idle_session_ttl_seconds: None,
-            }),
-            rvsim_net::NetConfig::default(),
-        )
-        .expect("net server starts");
+        let Some(net) = front_end(true) else { return };
         let options = HighConnectionOptions {
             connections: 64,
             target_rps: 400.0,
@@ -1064,39 +1037,8 @@ mod tests {
 
     #[test]
     fn cached_state_fanout_counts_requests_without_errors() {
-        if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
-            eprintln!("skipping fan-out test: loopback unavailable");
-            return;
-        }
-        let net = rvsim_net::NetServer::start(
-            SimulationServer::new(DeploymentConfig {
-                mode: DeploymentMode::Direct,
-                compress_responses: true,
-                worker_threads: 2,
-                idle_session_ttl_seconds: None,
-            }),
-            rvsim_net::NetConfig::default(),
-        )
-        .expect("net server starts");
-        let mut setup = rvsim_net::TcpApiClient::new(net.local_addr());
-        let mut sessions = Vec::new();
-        for _ in 0..2 {
-            match setup
-                .call(&Request::CreateSession {
-                    program: sample_program_loop(),
-                    architecture: None,
-                    entry: None,
-                    session: None,
-                })
-                .unwrap()
-            {
-                Response::SessionCreated { session } => {
-                    setup.call(&Request::Step { session, cycles: 4 }).unwrap();
-                    sessions.push(session);
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
+        let Some(net) = front_end(true) else { return };
+        let sessions = sessions(net.local_addr(), 2, 4);
         let report =
             run_cached_state_fanout(&[(net.local_addr(), sessions)], 2, Duration::from_millis(300));
         assert_eq!(report.errors, 0);
@@ -1108,37 +1050,26 @@ mod tests {
     }
 
     #[test]
+    fn cached_state_fanout_counts_in_band_errors_from_a_compressing_server() {
+        // The server compresses by default; an in-band error must still
+        // count as one, not as a served request.
+        let Some(net) = front_end(true) else { return };
+        let missing = 424_242;
+        let report = run_cached_state_fanout(
+            &[(net.local_addr(), vec![missing])],
+            1,
+            Duration::from_millis(100),
+        );
+        assert!(report.errors > 0, "{report:?}");
+        assert_eq!(report.requests, 0, "{report:?}");
+        net.shutdown();
+    }
+
+    #[test]
     fn step_load_advances_sessions_and_reports_a_clean_error_ratio() {
-        if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
-            eprintln!("skipping step-load test: loopback unavailable");
-            return;
-        }
-        let net = rvsim_net::NetServer::start(
-            SimulationServer::new(DeploymentConfig {
-                mode: DeploymentMode::Direct,
-                compress_responses: true,
-                worker_threads: 2,
-                idle_session_ttl_seconds: None,
-            }),
-            rvsim_net::NetConfig::default(),
-        )
-        .expect("net server starts");
+        let Some(net) = front_end(true) else { return };
+        let sessions = sessions(net.local_addr(), 3, 0);
         let mut setup = rvsim_net::TcpApiClient::new(net.local_addr());
-        let mut sessions = Vec::new();
-        for _ in 0..3 {
-            match setup
-                .call(&Request::CreateSession {
-                    program: sample_program_loop(),
-                    architecture: None,
-                    entry: None,
-                    session: None,
-                })
-                .unwrap()
-            {
-                Response::SessionCreated { session } => sessions.push(session),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
         let report = run_step_load(net.local_addr(), &sessions, 2, Duration::from_millis(300));
         assert!(report.requests > 0);
         assert_eq!(report.errors, 0);
@@ -1203,7 +1134,7 @@ mod tests {
 
     #[test]
     fn bad_program_counts_as_errors_but_does_not_panic() {
-        let server = server(false);
+        let Some(net) = front_end(false) else { return };
         let scenario = Scenario {
             users: 2,
             steps_per_user: 2,
@@ -1214,8 +1145,8 @@ mod tests {
             fetch_state_each_step: false,
             delta_state: false,
         };
-        let report = run_load_test(&server, &scenario);
+        let report = run_load_test_tcp(net.local_addr(), &scenario);
         assert_eq!(report.errors, 2, "each user fails once at session creation");
-        server.shutdown();
+        net.shutdown();
     }
 }

@@ -3,12 +3,12 @@
 //! One [`TcpApiClient`] owns one keep-alive connection (opened lazily,
 //! re-opened once per call if the server closed it) and speaks exactly the
 //! framing the front end produces: a status line, headers with
-//! `content-length`, and a sized body.  This is what `rvsim-loadgen`'s
-//! `--tcp` transport and the benchmark harness drive.
+//! `content-length`, and a sized body.  This is what `rvsim-loadgen` and
+//! the benchmark harness drive.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rvsim_server::{Request, Response, SimulationServer};
+use rvsim_server::{decode_response, Request, Response};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,7 +102,7 @@ impl TcpApiClient {
     pub fn call(&mut self, request: &Request) -> Result<Response, String> {
         let json = serde_json::to_vec(request).map_err(|e| e.to_string())?;
         let payload = self.call_raw(&json)?;
-        SimulationServer::decode_response(&payload)
+        decode_response(&payload)
     }
 
     fn connect(&mut self) -> std::io::Result<&mut TcpStream> {

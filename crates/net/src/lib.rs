@@ -2,11 +2,9 @@
 //!
 //! The paper deploys the simulator behind an Undertow HTTP server and
 //! reports the *request path* — not the simulation — as the scaling
-//! bottleneck (§IV-A).  Until this crate the Rust reproduction had no
-//! transport at all, only the in-process worker pool in `rvsim-server`.
-//! `rvsim-net` adds the real thing, hand-rolled over
-//! [`std::net::TcpListener`] (the build environment is offline, so no
-//! external HTTP stack):
+//! bottleneck (§IV-A).  `rvsim-net` is the reproduction's transport for
+//! `rvsim-server`, hand-rolled over [`std::net::TcpListener`] (the build
+//! environment is offline, so no external HTTP stack):
 //!
 //! * [`http`] — incremental HTTP/1.1 request framing that tolerates
 //!   arbitrary partial reads, with pipelining, keep-alive and bounded-size
@@ -19,7 +17,7 @@
 //!   periodic housekeeping tick (idle-session eviction) and a
 //!   `GET /metrics` stats endpoint;
 //! * [`TcpApiClient`] — the matching blocking keep-alive client used by
-//!   `rvsim-loadgen --tcp` and the server benchmark.
+//!   `rvsim-loadgen` and the server benchmark.
 //!
 //! The response body of the protocol endpoint is the server's shared
 //! [`bytes::Bytes`] payload handle: a cached `GetState` flows from the

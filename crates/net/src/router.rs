@@ -2,14 +2,14 @@
 //! across N backend simulation servers.
 //!
 //! The paper scales by putting more cores behind one Undertow instance;
-//! this module scales *out* instead: a [`Router`] implements
-//! [`ApiHandler`](crate::server::ApiHandler), so the same epoll front end
-//! that serves a [`rvsim_server::SimulationServer`] can serve a proxy that
+//! this module scales *out* instead: a [`Router`] implements [`ApiHandler`],
+//! so the same epoll front end that serves a
+//! [`rvsim_server::SimulationServer`] can serve a proxy that
 //! consistent-hashes session ids across backend processes and forwards the
 //! unmodified wire protocol over pooled keep-alive upstream connections.
 //!
 //! * **Placement** — session ids are hashed onto a ring of 64 virtual nodes
-//!   per backend ([`HashRing`]); adding or removing a backend moves only
+//!   per backend (`HashRing`); adding or removing a backend moves only
 //!   `1/N` of the sessions.  The router assigns ids itself (from a high
 //!   base, so they can never collide with ids a backend hands out to
 //!   direct clients) and pins each session with `CreateSession{session}`.
@@ -45,7 +45,9 @@ use crate::client::{http_get, http_post, TcpApiClient};
 use crate::server::{ApiHandler, ControlResponse};
 use bytes::Bytes;
 use rvsim_obs::{expo, Event, EventKind, Exposition, Histogram, Observer};
-use rvsim_server::{CheckpointEntry, RecoverOutcome, Request, Response};
+use rvsim_server::{
+    encode_response, is_unknown_session_payload, CheckpointEntry, RecoverOutcome, Request, Response,
+};
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -486,7 +488,7 @@ impl Router {
     fn call_backend_typed(&self, index: usize, request: &Request) -> Result<Response, String> {
         let body = serde_json::to_vec(request).map_err(|e| e.to_string())?;
         let payload = self.call_backend(index, &body, 0)?;
-        rvsim_server::SimulationServer::decode_response(&payload)
+        rvsim_server::decode_response(&payload)
     }
 
     /// Where a request for `session` goes right now: a migration override
@@ -545,7 +547,7 @@ impl Router {
         };
         match self.call_backend(target, body, request_id) {
             Ok(payload) => {
-                if is_unknown_session(&payload) {
+                if is_unknown_session_payload(&payload) {
                     self.wait_not_migrating(session);
                     if let Some(moved) = self.target_for(session) {
                         if moved != target {
@@ -626,7 +628,7 @@ impl Router {
         }
         sessions.sort_unstable();
         sessions.dedup();
-        encode_response(&Response::SessionList { sessions })
+        encode_response(&Response::SessionList { sessions }, false)
     }
 
     /// Move every session off backend `index` (serialize on the old node,
@@ -1086,25 +1088,10 @@ fn control(status: u16, reason: &'static str, body: &str) -> ControlResponse {
     ControlResponse { status, reason, body: body.as_bytes().to_vec() }
 }
 
-/// Encode a router-originated error in the wire format (flag byte 0 = plain
-/// JSON), indistinguishable on the client from a backend error.
+/// Encode a router-originated error with the servers' one encoder,
+/// indistinguishable on the client from a backend error.
 fn encode_error(message: impl Into<String>) -> Bytes {
-    encode_response(&Response::error(message))
-}
-
-fn encode_response(response: &Response) -> Bytes {
-    let json = serde_json::to_vec(response).expect("responses serialize");
-    let mut out = Vec::with_capacity(json.len() + 1);
-    out.push(0u8);
-    out.extend_from_slice(&json);
-    Bytes::from(out)
-}
-
-/// Cheap wire-level test for an (uncompressed) "unknown session" error —
-/// the signal that a session moved out from under an in-flight request.
-fn is_unknown_session(payload: &[u8]) -> bool {
-    payload.first() == Some(&0)
-        && payload[1..].starts_with(br#"{"type":"error","message":"unknown session"#)
+    encode_response(&Response::error(message), false)
 }
 
 fn elapsed_us(since: Instant) -> u64 {
@@ -1229,10 +1216,20 @@ mod tests {
     #[test]
     fn wire_error_probe_matches_encoded_unknown_session() {
         let payload = encode_error("unknown session 41");
-        assert!(is_unknown_session(&payload));
+        assert!(is_unknown_session_payload(&payload));
         let payload = encode_error("something else");
-        assert!(!is_unknown_session(&payload));
-        assert!(!is_unknown_session(&[]));
-        assert!(!is_unknown_session(&[1, 2, 3]));
+        assert!(!is_unknown_session_payload(&payload));
+        assert!(!is_unknown_session_payload(&[]));
+        assert!(!is_unknown_session_payload(&[1, 2, 3]));
+    }
+
+    #[test]
+    fn wire_error_probe_matches_what_a_compressing_backend_sends() {
+        // The drain retry hinges on this probe: a backend compresses by
+        // default, and its `unknown session` answer must still read as one.
+        let backend = rvsim_server::SimulationServer::new(Default::default());
+        assert!(backend.config().compress_responses);
+        let payload = backend.handle_raw(br#"{"type":"get_state","session":41}"#);
+        assert!(is_unknown_session_payload(&payload));
     }
 }

@@ -37,7 +37,6 @@ fn default_deployment(compress: bool) -> DeploymentConfig {
     DeploymentConfig {
         mode: DeploymentMode::Direct,
         compress_responses: compress,
-        worker_threads: 2,
         idle_session_ttl_seconds: None,
     }
 }
@@ -198,7 +197,6 @@ fn housekeeping_tick_evicts_idle_sessions() {
     let deployment = DeploymentConfig {
         mode: DeploymentMode::Direct,
         compress_responses: true,
-        worker_threads: 2,
         // Zero TTL: anything idle at the next tick is swept.
         idle_session_ttl_seconds: Some(0),
     };

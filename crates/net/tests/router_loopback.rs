@@ -34,7 +34,6 @@ fn start_backend() -> NetServer {
     let deployment = DeploymentConfig {
         mode: DeploymentMode::Direct,
         compress_responses: true,
-        worker_threads: 2,
         idle_session_ttl_seconds: None,
     };
     NetServer::start(SimulationServer::new(deployment), NetConfig::default())
@@ -225,7 +224,6 @@ fn request_ids_follow_a_request_from_the_router_into_a_backend_journal() {
     let deployment = DeploymentConfig {
         mode: DeploymentMode::Direct,
         compress_responses: true,
-        worker_threads: 2,
         idle_session_ttl_seconds: None,
     };
     let b0 = NetServer::start(SimulationServer::new(deployment), trace_all.clone())
@@ -267,7 +265,6 @@ fn start_durable_backend(state_dir: &std::path::Path) -> NetServer {
     let deployment = DeploymentConfig {
         mode: DeploymentMode::Direct,
         compress_responses: true,
-        worker_threads: 2,
         idle_session_ttl_seconds: None,
     };
     let server = SimulationServer::with_checkpoints(

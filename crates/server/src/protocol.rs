@@ -1,9 +1,13 @@
 //! JSON request/response protocol between clients (web GUI, CLI, load
-//! generator) and the simulation server.
+//! generator) and the simulation server, and its wire encoding: one flag
+//! byte (`0` plain, `1` LZSS) followed by the response JSON.
 
 use crate::envelope::SessionEnvelope;
+use bytes::Bytes;
+use rvsim_compress::Compressor;
 use rvsim_core::{ArchitectureConfig, ProcessorSnapshot, SimulationStatistics, SnapshotDelta};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// A client request.
 ///
@@ -180,6 +184,73 @@ impl Response {
     }
 }
 
+/// Flag byte of a plain-JSON payload.
+const PLAIN: u8 = 0;
+/// Flag byte of an LZSS-compressed payload.
+const LZSS: u8 = 1;
+/// How the JSON of every [`Response::Error`] begins (the tag comes first).
+const ERROR_JSON: &[u8] = br#"{"type":"error","#;
+
+thread_local! {
+    /// The encoding thread's LZSS compressor.  Its hash chains (~544 KiB)
+    /// are reused by every payload the thread compresses, so a dispatch
+    /// worker owns one no matter how many sessions it serves.
+    static COMPRESSOR: RefCell<Compressor> = RefCell::new(Compressor::new());
+}
+
+/// Append one response payload to `out`: the flag byte, then `json`.  The
+/// JSON is LZSS-compressed when `compress` is set and it is not an error;
+/// errors always travel plain, so [`is_error_payload`] can spot them
+/// without decompressing.  Every payload the server or the router sends is
+/// written here.
+pub(crate) fn encode_payload(json: &[u8], compress: bool, out: &mut Vec<u8>) {
+    if compress && !json.starts_with(ERROR_JSON) {
+        out.push(LZSS);
+        COMPRESSOR.with(|compressor| compressor.borrow_mut().compress_into(json, out));
+    } else {
+        out.push(PLAIN);
+        out.extend_from_slice(json);
+    }
+}
+
+/// Encode `response` as a wire payload: the flag byte, then its JSON,
+/// LZSS-compressed when `compress` is set and the response is not an error
+/// (errors always travel plain, so [`is_error_payload`] can spot them
+/// without decompressing).
+pub fn encode_response(response: &Response, compress: bool) -> Bytes {
+    let json = serde_json::to_vec(response).expect("responses serialize");
+    let mut out = Vec::with_capacity(json.len() + 1);
+    encode_payload(&json, compress, &mut out);
+    Bytes::from(out)
+}
+
+/// Decode a payload written by [`encode_response`] or the server.
+pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
+    match payload.split_first() {
+        None => Err("empty response payload".to_string()),
+        // Plain JSON deserializes straight from the borrowed slice.
+        Some((&PLAIN, json)) => serde_json::from_slice(json).map_err(|e| e.to_string()),
+        Some((&LZSS, packed)) => {
+            let json = rvsim_compress::decompress(packed).map_err(|e| e.to_string())?;
+            serde_json::from_slice(&json).map_err(|e| e.to_string())
+        }
+        Some((other, _)) => Err(format!("unknown payload flag {other}")),
+    }
+}
+
+/// Whether `payload` is an error response, read off the wire without
+/// decoding it.
+pub fn is_error_payload(payload: &[u8]) -> bool {
+    payload.split_first().is_some_and(|(&flag, json)| flag == PLAIN && json.starts_with(ERROR_JSON))
+}
+
+/// Whether `payload` is the `unknown session` error: the signal that a
+/// session moved out from under an in-flight request.
+pub fn is_unknown_session_payload(payload: &[u8]) -> bool {
+    is_error_payload(payload)
+        && payload[1 + ERROR_JSON.len()..].starts_with(br#""message":"unknown session"#)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,5 +311,63 @@ mod tests {
         assert!(!ok.is_error());
         let json = serde_json::to_string(&e).unwrap();
         assert!(json.contains("\"error\""));
+    }
+
+    /// One response of every variant, from a simulator that has run a few
+    /// cycles so the state-bearing variants carry real content.
+    fn every_response() -> Vec<Response> {
+        let program = "main:\n  li t0, 3\nloop:\n  addi t0, t0, -1\n  bnez t0, loop\n  ret\n";
+        let mut sim = rvsim_core::Simulator::from_assembly(program, &Default::default()).unwrap();
+        let base = ProcessorSnapshot::capture(&sim);
+        for _ in 0..4 {
+            sim.step();
+        }
+        let current = ProcessorSnapshot::capture(&sim);
+        vec![
+            Response::SessionCreated { session: 7 },
+            Response::Compiled { assembly: "main:\n  ret\n".into(), line_map: vec![(1, 2)] },
+            Response::Stepped { cycle: 4, halted: false },
+            Response::StateDelta(Box::new(SnapshotDelta::between(&base, &current))),
+            Response::State(Box::new(current)),
+            Response::Stats(Box::new(sim.statistics())),
+            Response::Destroyed,
+            Response::Serialized(Box::new(SessionEnvelope::capture(7, &sim, program))),
+            Response::SessionList { sessions: vec![1, 7] },
+            Response::error("unknown session 7"),
+        ]
+    }
+
+    #[test]
+    fn every_response_round_trips_through_the_one_encoder() {
+        for compress in [false, true] {
+            for response in every_response() {
+                let payload = encode_response(&response, compress);
+                // Errors stay plain whatever the setting; the rest follow it.
+                let compressed = compress && !response.is_error();
+                assert_eq!(payload[0], compressed as u8, "{response:?} (compress={compress})");
+                assert_eq!(is_error_payload(&payload), response.is_error());
+                assert_eq!(decode_response(&payload).unwrap(), response, "compress={compress}");
+            }
+        }
+    }
+
+    #[test]
+    fn wire_probes_match_only_the_errors_they_name() {
+        for compress in [false, true] {
+            let unknown = encode_response(&Response::error("unknown session 41"), compress);
+            assert!(is_unknown_session_payload(&unknown), "compress={compress}");
+            let other = encode_response(&Response::error("session 41 already exists"), compress);
+            assert!(is_error_payload(&other));
+            assert!(!is_unknown_session_payload(&other));
+            let ok = encode_response(&Response::SessionList { sessions: vec![41] }, compress);
+            assert!(!is_error_payload(&ok));
+            assert!(!is_unknown_session_payload(&ok));
+        }
+        for junk in [&[][..], &[1, 2, 3], &[0], &[9, b'{']] {
+            assert!(!is_error_payload(junk));
+            assert!(!is_unknown_session_payload(junk));
+        }
+        assert!(decode_response(&[]).is_err());
+        assert!(decode_response(&[9, 1, 2]).is_err());
     }
 }

@@ -2,14 +2,14 @@
 
 use crate::checkpoint::{CheckpointConfig, CheckpointEntry, CheckpointStore, RecoverOutcome};
 use crate::envelope::SessionEnvelope;
-use crate::protocol::{Request, Response};
+use crate::protocol::{encode_payload, encode_response, Request, Response};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use rvsim_asm::filter_assembly;
 use rvsim_cc::OptLevel;
-use rvsim_compress::Compressor;
 use rvsim_core::{ArchitectureConfig, ProcessorSnapshot, Simulator, SnapshotBuffer, SnapshotDelta};
 use rvsim_obs::{Event, EventKind, Histogram, HistogramSnapshot, Observer};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
@@ -46,8 +46,6 @@ pub struct DeploymentConfig {
     pub mode: DeploymentMode,
     /// Compress response payloads (the gzip substitute).
     pub compress_responses: bool,
-    /// Number of worker threads in the threaded front end.
-    pub worker_threads: usize,
     /// Sessions untouched for this many seconds become eligible for the
     /// idle sweep ([`SimulationServer::evict_idle`], invoked from the
     /// network front end's housekeeping tick).  `None` disables eviction —
@@ -60,22 +58,24 @@ impl Default for DeploymentConfig {
         DeploymentConfig {
             mode: DeploymentMode::Direct,
             compress_responses: true,
-            worker_threads: 4,
             idle_session_ttl_seconds: None,
         }
     }
 }
 
-/// Per-session serving state: reusable render/compress buffers, the encoded
-/// payload of the last `GetState` answer, and the delta-protocol base.
-/// Everything here reaches allocation steady state after the first request.
+thread_local! {
+    /// The dispatching thread's snapshot render buffer.  A payload is
+    /// encoded before its thread renders the next one, so one buffer per
+    /// thread serves every session.
+    static SNAPSHOT: RefCell<SnapshotBuffer> = RefCell::new(SnapshotBuffer::new());
+}
+
+/// Per-session serving state: the encoded payload of the last `state`
+/// answer and the delta-protocol base.  The render and compress buffers
+/// belong to the dispatching thread, not to the session.
 #[derive(Default)]
 struct ServeCache {
-    /// Reusable direct-JSON render buffer.
-    buffer: SnapshotBuffer,
-    /// Reusable LZSS compressor (hash chains persist across requests).
-    compressor: Compressor,
-    /// Encoded payload (flag byte + bytes) of the last `GetState` answer,
+    /// Encoded payload (flag byte + bytes) of the last `state` answer,
     /// held as a shared [`Bytes`] handle: serving the cache is an atomic
     /// reference bump, not a buffer copy.  When every consumer has dropped
     /// its handle the allocation is reclaimed for the next refresh.
@@ -159,6 +159,11 @@ struct StepQueueInner {
     closed: bool,
 }
 
+/// The answer to a request naming a session that does not exist.
+fn unknown_session(id: u64) -> Response {
+    Response::error(format!("unknown session {id}"))
+}
+
 /// Close a removed session's step queue: fail every queued ticket with an
 /// `unknown session` error and wake the waiters.  Without this, a `Step`
 /// enqueued between lookup and removal (destroy or idle eviction) would
@@ -173,7 +178,7 @@ fn close_step_queue(id: u64, slot: &SessionSlot) {
         return;
     }
     for ticket in drained {
-        inner.finished.insert(ticket, Response::error(format!("unknown session {id}")));
+        inner.finished.insert(ticket, unknown_session(id));
     }
     queue.ready.notify_all();
 }
@@ -193,26 +198,6 @@ type SessionShard = RwLock<HashMap<u64, Arc<SessionSlot>>>;
 fn shard_index(id: u64) -> usize {
     (id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SESSION_SHARDS.trailing_zeros())) as usize
         & (SESSION_SHARDS - 1)
-}
-
-/// Answer a `GetStateDelta` request against `session`'s stored base: a real
-/// delta when the base matches `since_cycle`, a full snapshot otherwise.
-/// Either way the served state becomes the next delta base.
-fn state_delta_response(session: &mut Session, since_cycle: u64) -> Response {
-    let current = ProcessorSnapshot::capture(&session.simulator);
-    match session.serve.delta_base.take() {
-        Some(base) if base.cycle == since_cycle => {
-            let delta = SnapshotDelta::between(&base, &current);
-            session.serve.delta_base = Some(current);
-            Response::StateDelta(Box::new(delta))
-        }
-        // No matching base (first request, or the client fell behind): fall
-        // back to a full snapshot.
-        _ => {
-            session.serve.delta_base = Some(current.clone());
-            Response::State(Box::new(current))
-        }
-    }
 }
 
 /// Durability state: the checkpoint store plus the cadence bookkeeping and
@@ -235,9 +220,27 @@ struct CheckpointState {
     restore_staleness_max_ms: AtomicU64,
 }
 
-/// Endpoint labels for the per-endpoint latency histograms, in
-/// [`endpoint_index`] order (the `Request` variants plus a slot for
-/// payloads that fail to parse).
+/// The per-endpoint latency histograms: one per `Request` variant plus one
+/// for payloads that fail to parse.  [`ENDPOINTS`] holds their labels in the
+/// same order.
+#[derive(Clone, Copy)]
+enum Endpoint {
+    CreateSession,
+    Compile,
+    Step,
+    StepBack,
+    Run,
+    GetState,
+    GetStateDelta,
+    GetStats,
+    DestroySession,
+    SerializeSession,
+    RestoreSession,
+    ListSessions,
+    Malformed,
+}
+
+/// `rvsim_endpoint_seconds{endpoint=…}` labels, indexed by [`Endpoint`].
 const ENDPOINTS: [&str; 13] = [
     "create_session",
     "compile",
@@ -254,12 +257,6 @@ const ENDPOINTS: [&str; 13] = [
     "malformed",
 ];
 
-/// Histogram slots the raw fast paths record into directly.
-const EP_GET_STATE: usize = 5;
-const EP_GET_STATE_DELTA: usize = 6;
-/// Histogram slot for payloads that do not parse as a [`Request`].
-const EP_MALFORMED: usize = ENDPOINTS.len() - 1;
-
 /// Sampling factor for timing the cached-serve fast paths
 /// (`GetState`/`GetStateDelta`): one request in `RAW_SAMPLE` is timed and
 /// recorded with this weight (power of two, so the sampling test is a
@@ -269,28 +266,30 @@ const EP_MALFORMED: usize = ENDPOINTS.len() - 1;
 /// the latency distribution unbiased.
 const RAW_SAMPLE: u64 = 16;
 
-/// Index into [`ENDPOINTS`] for a parsed request.
-fn endpoint_index(request: &Request) -> usize {
-    match request {
-        Request::CreateSession { .. } => 0,
-        Request::Compile { .. } => 1,
-        Request::Step { .. } => 2,
-        Request::StepBack { .. } => 3,
-        Request::Run { .. } => 4,
-        Request::GetState { .. } => 5,
-        Request::GetStateDelta { .. } => 6,
-        Request::GetStats { .. } => 7,
-        Request::DestroySession { .. } => 8,
-        Request::SerializeSession { .. } => 9,
-        Request::RestoreSession { .. } => 10,
-        Request::ListSessions => 11,
+/// Compile C `source` at optimization level `optimization` (0–3; higher
+/// means `-O3`) to filtered assembly.
+fn compile(source: &str, optimization: u8) -> Response {
+    let opt = match optimization {
+        0 => OptLevel::O0,
+        1 => OptLevel::O1,
+        2 => OptLevel::O2,
+        _ => OptLevel::O3,
+    };
+    match rvsim_cc::compile(source, opt) {
+        Ok(output) => Response::Compiled {
+            assembly: filter_assembly(&output.assembly),
+            line_map: output.line_map,
+        },
+        Err(errors) => {
+            Response::error(errors.iter().map(|e| e.to_string()).collect::<Vec<_>>().join("\n"))
+        }
     }
 }
 
 /// The simulation server: a sharded set of sessions plus request dispatch.
 ///
 /// The server is cheap to share (`Arc<SimulationServer>`).  The session map
-/// is split across [`SESSION_SHARDS`] reader-writer locks keyed by a hash of
+/// is split across 16 reader-writer locks (`SESSION_SHARDS`) keyed by a hash of
 /// the session id: lookups (the per-request path) take one shard's read
 /// lock, creation/deletion take one shard's write lock, and no operation —
 /// including [`session_count`](Self::session_count) — ever locks the whole
@@ -308,7 +307,7 @@ pub struct SimulationServer {
     /// `Step` requests executed by another request's combiner pass (i.e.
     /// requests that were coalesced instead of taking the session lock).
     coalesced_steps: AtomicU64,
-    /// `GetState` answers served from the cached encoded payload as a
+    /// `state` answers served from the cached encoded payload as a
     /// shared handle (no render, no copy).
     shared_state_serves: AtomicU64,
     next_session: AtomicU64,
@@ -426,7 +425,8 @@ impl SimulationServer {
         self.coalesced_steps.load(Ordering::Relaxed)
     }
 
-    /// `GetState` answers served as a shared handle to the cached encoded
+    /// `state` answers (`GetState`, or the full-snapshot fallback of
+    /// `GetStateDelta`) served as a shared handle to the cached encoded
     /// payload (unchanged cycle: no render, no compression, no copy).
     pub fn shared_state_serve_count(&self) -> u64 {
         self.shared_state_serves.load(Ordering::Relaxed)
@@ -615,86 +615,186 @@ impl SimulationServer {
         }
     }
 
-    /// Handle one decoded request.
-    pub fn handle(&self, request: Request) -> Response {
-        self.handle_traced(request, 0)
+    /// Handle one raw JSON request payload and produce its encoded response:
+    /// the full per-request work the paper's performance evaluation
+    /// measures (decode, simulate, render, compress).  This is the server's
+    /// one request path; every transport and test goes through it.
+    /// `GetState` takes the allocation-free serve path: an unchanged cycle
+    /// returns the cached encoded payload without re-capturing anything,
+    /// and the returned [`Bytes`] handle shares the cache's buffer, so
+    /// transports write it to the wire without copying.
+    pub fn handle_raw(&self, request_json: &[u8]) -> Bytes {
+        self.handle_raw_traced(request_json, 0)
     }
 
-    /// [`handle`](Self::handle) carrying the request id minted (or
+    /// [`handle_raw`](Self::handle_raw) carrying the request id minted (or
     /// propagated) by the front end, so handler-side journal events can be
-    /// correlated with the connection's request trace.
-    pub fn handle_traced(&self, request: Request, request_id: u64) -> Response {
-        self.apply_deployment_overhead();
+    /// correlated with the connection's request trace.  Each request is
+    /// timed into its endpoint's latency histogram; the cached-serve fast
+    /// paths (`GetState`/`GetStateDelta`) one request in 16, with matching
+    /// weight.
+    pub fn handle_raw_traced(&self, request_json: &[u8], request_id: u64) -> Bytes {
+        let request = match serde_json::from_slice::<Request>(request_json) {
+            Ok(request) => request,
+            Err(e) => {
+                let error = Response::error(format!("malformed request: {e}"));
+                return self.respond(Endpoint::Malformed, || error);
+            }
+        };
         match request {
-            Request::CreateSession { program, architecture, entry, session } => {
-                let config = architecture.unwrap_or_default();
-                self.create_session(&program, &config, entry.as_deref(), session)
+            Request::GetState { session } => {
+                self.dispatch(Endpoint::GetState, true, || self.serve_state(session))
             }
+            Request::GetStateDelta { session, since_cycle } => {
+                self.dispatch(Endpoint::GetStateDelta, true, || {
+                    self.serve_delta(session, since_cycle)
+                })
+            }
+            Request::CreateSession { program, architecture, entry: _, session } => self
+                .respond(Endpoint::CreateSession, || {
+                    self.create_session(&program, &architecture.unwrap_or_default(), session)
+                }),
             Request::Compile { source, optimization } => {
-                let opt = match optimization {
-                    0 => OptLevel::O0,
-                    1 => OptLevel::O1,
-                    2 => OptLevel::O2,
-                    _ => OptLevel::O3,
-                };
-                match rvsim_cc::compile(&source, opt) {
-                    Ok(output) => Response::Compiled {
-                        assembly: filter_assembly(&output.assembly),
-                        line_map: output.line_map,
-                    },
-                    Err(errors) => Response::error(
-                        errors.iter().map(|e| e.to_string()).collect::<Vec<_>>().join("\n"),
-                    ),
-                }
+                self.respond(Endpoint::Compile, || compile(&source, optimization))
             }
-            Request::Step { session, cycles } => match self.session(session) {
-                Some(slot) => self.coalesced_step(session, &slot, cycles, request_id),
-                None => Response::error(format!("unknown session {session}")),
-            },
-            Request::StepBack { session, cycles } => self.with_session(session, |s| {
-                let sim = &mut s.simulator;
-                for _ in 0..cycles {
-                    sim.step_back();
-                }
-                Response::Stepped { cycle: sim.cycle(), halted: sim.is_halted() }
+            Request::Step { session, cycles } => {
+                self.respond(Endpoint::Step, || match self.session(session) {
+                    Some(slot) => self.coalesced_step(session, &slot, cycles, request_id),
+                    None => unknown_session(session),
+                })
+            }
+            Request::StepBack { session, cycles } => self.respond(Endpoint::StepBack, || {
+                self.with_session(session, |s| {
+                    let sim = &mut s.simulator;
+                    sim.step_back_by(cycles);
+                    Response::Stepped { cycle: sim.cycle(), halted: sim.is_halted() }
+                })
             }),
-            Request::Run { session, max_cycles } => {
+            Request::Run { session, max_cycles } => self.respond(Endpoint::Run, || {
                 self.with_session(session, |s| match s.simulator.run(max_cycles) {
                     Ok(result) => {
                         Response::Stepped { cycle: result.cycles, halted: s.simulator.is_halted() }
                     }
                     Err(e) => Response::error(e),
                 })
-            }
-            // Plain GetState does not seed the delta base (that would cost a
-            // full snapshot clone per request, and the raw fast path cannot
-            // afford a structured capture at all): the base is tracked by
-            // delta requests only, whose first ask falls back to a full
-            // snapshot.  Typed and raw paths behave identically.
-            Request::GetState { session } => self.with_session(session, |s| {
-                Response::State(Box::new(ProcessorSnapshot::capture(&s.simulator)))
             }),
-            Request::GetStateDelta { session, since_cycle } => {
-                self.with_session(session, |s| state_delta_response(s, since_cycle))
-            }
-            Request::GetStats { session } => {
+            Request::GetStats { session } => self.respond(Endpoint::GetStats, || {
                 self.with_session(session, |s| Response::Stats(Box::new(s.simulator.statistics())))
-            }
-            Request::DestroySession { session } => {
+            }),
+            Request::DestroySession { session } => self.respond(Endpoint::DestroySession, || {
                 if self.remove_session(session) {
                     Response::Destroyed
                 } else {
-                    Response::error(format!("unknown session {session}"))
+                    unknown_session(session)
                 }
-            }
-            Request::SerializeSession { session, destroy } => {
-                self.serialize_session(session, destroy)
-            }
+            }),
+            Request::SerializeSession { session, destroy } => self
+                .respond(Endpoint::SerializeSession, || self.serialize_session(session, destroy)),
             Request::RestoreSession { envelope, replace } => {
-                self.restore_session(*envelope, replace)
+                self.respond(Endpoint::RestoreSession, || self.restore_session(*envelope, replace))
             }
-            Request::ListSessions => self.list_sessions(),
+            Request::ListSessions => self.respond(Endpoint::ListSessions, || self.list_sessions()),
         }
+    }
+
+    /// [`dispatch`](Self::dispatch) an always-timed request whose handler
+    /// answers with a [`Response`], and encode the answer.
+    fn respond(&self, endpoint: Endpoint, handler: impl FnOnce() -> Response) -> Bytes {
+        self.dispatch(endpoint, false, || self.encode(&handler()))
+    }
+
+    /// Run one request's `work` behind the deployment overhead and time it
+    /// into `endpoint`'s latency histogram.  Every request is timed, except
+    /// on the `sampled` cached-serve fast paths: there one request in
+    /// `RAW_SAMPLE` is timed and recorded with that weight, and the untimed
+    /// majority pay one relaxed counter bump and no clock read.  Tick 0 is
+    /// always timed, so the first request of any workload seeds the
+    /// histogram.
+    #[inline]
+    fn dispatch(&self, endpoint: Endpoint, sampled: bool, work: impl FnOnce() -> Bytes) -> Bytes {
+        let weight = if !sampled {
+            1
+        } else if self.raw_ticks.fetch_add(1, Ordering::Relaxed) & (RAW_SAMPLE - 1) == 0 {
+            RAW_SAMPLE
+        } else {
+            0
+        };
+        let started = (weight > 0).then(Instant::now);
+        self.apply_deployment_overhead();
+        let payload = work();
+        if let Some(started) = started {
+            self.endpoints[endpoint as usize]
+                .record_weighted(started.elapsed().as_micros() as u64, weight);
+        }
+        payload
+    }
+
+    /// Encode `response` with this server's compression setting.
+    fn encode(&self, response: &Response) -> Bytes {
+        encode_response(response, self.config.compress_responses)
+    }
+
+    /// Answer `GetState`: the session's `state` payload.
+    fn serve_state(&self, id: u64) -> Bytes {
+        match self.session(id) {
+            Some(slot) => self.state_payload(&mut slot.session.lock()),
+            None => self.encode(&unknown_session(id)),
+        }
+    }
+
+    /// Answer `GetStateDelta` against the session's stored base: a real
+    /// delta when the base matches `since_cycle`, the full `state` payload
+    /// otherwise (first request, or the client fell behind).  Either way
+    /// the served state becomes the next delta base.
+    fn serve_delta(&self, id: u64, since_cycle: u64) -> Bytes {
+        let Some(slot) = self.session(id) else {
+            return self.encode(&unknown_session(id));
+        };
+        let mut session = slot.session.lock();
+        let current = ProcessorSnapshot::capture(&session.simulator);
+        let delta = match &session.serve.delta_base {
+            Some(base) if base.cycle == since_cycle => Some(SnapshotDelta::between(base, &current)),
+            _ => None,
+        };
+        session.serve.delta_base = Some(current);
+        match delta {
+            Some(delta) => self.encode(&Response::StateDelta(Box::new(delta))),
+            None => self.state_payload(&mut session),
+        }
+    }
+
+    /// The `state` payload of `session` at its current cycle.  The cached
+    /// bytes are served while their `(epoch, cycle)` key holds; otherwise
+    /// the snapshot writer renders the response JSON straight from the
+    /// simulator into this thread's buffer, the one encoder packs it, and
+    /// the result becomes the new cache.  Plain `GetState` never seeds the
+    /// delta base: that would cost a structured capture per request.
+    fn state_payload(&self, session: &mut Session) -> Bytes {
+        let Session { simulator, serve, epoch, .. } = session;
+        let key = (*epoch, simulator.cycle());
+        if serve.encoded_key == Some(key) {
+            self.shared_state_serves.fetch_add(1, Ordering::Relaxed);
+            return serve.encoded.clone();
+        }
+        // Reclaim the previous payload's allocation when every consumer has
+        // dropped its handle (the steady state once responses have been
+        // written to the wire); fall back to a fresh buffer while clones
+        // are still alive.
+        let mut out = match std::mem::take(&mut serve.encoded).try_into_vec() {
+            Ok(mut vec) => {
+                vec.clear();
+                vec
+            }
+            Err(_) => Vec::new(),
+        };
+        SNAPSHOT.with(|buffer| {
+            let mut buffer = buffer.borrow_mut();
+            let json = buffer.render_state_response(simulator);
+            encode_payload(json, self.config.compress_responses, &mut out);
+        });
+        serve.encoded = Bytes::from(out);
+        serve.encoded_key = Some(key);
+        serve.encoded.clone()
     }
 
     /// Capture session `id` as a portable envelope.  With `destroy`, the
@@ -703,7 +803,7 @@ impl SimulationServer {
     /// "serialize and vacate" a live migration needs.
     fn serialize_session(&self, id: u64, destroy: bool) -> Response {
         let Some(slot) = self.session(id) else {
-            return Response::error(format!("unknown session {id}"));
+            return unknown_session(id);
         };
         let guard = slot.session.lock();
         let envelope = SessionEnvelope::capture(id, &guard.simulator, &guard.program);
@@ -780,34 +880,10 @@ impl SimulationServer {
         Response::SessionList { sessions }
     }
 
-    /// The `GetStateDelta` raw path: the same response the typed handler
-    /// produces, but compressed through the session's reusable
-    /// [`Compressor`] instead of a one-shot hash-table allocation per
-    /// response.
-    fn serve_delta_raw(&self, id: u64, since_cycle: u64) -> Bytes {
-        self.apply_deployment_overhead();
-        let Some(slot) = self.session(id) else {
-            return self.encode_response(&Response::error(format!("unknown session {id}")));
-        };
-        let mut guard = slot.session.lock();
-        let response = state_delta_response(&mut guard, since_cycle);
-        let json = serde_json::to_vec(&response).expect("responses serialize");
-        let mut out = Vec::with_capacity(json.len() / 2 + 8);
-        if self.config.compress_responses {
-            out.push(1u8);
-            guard.serve.compressor.compress_into(&json, &mut out);
-        } else {
-            out.push(0u8);
-            out.extend_from_slice(&json);
-        }
-        Bytes::from(out)
-    }
-
     fn create_session(
         &self,
         program: &str,
         config: &ArchitectureConfig,
-        _entry: Option<&str>,
         explicit_id: Option<u64>,
     ) -> Response {
         match Simulator::from_assembly(program, config) {
@@ -900,7 +976,7 @@ impl SimulationServer {
             if inner.closed {
                 // The session was destroyed or evicted between lookup and
                 // enqueue: fail like the lookup would have.
-                return Response::error(format!("unknown session {session_id}"));
+                return unknown_session(session_id);
             }
             let id = inner.next_ticket;
             inner.next_ticket += 1;
@@ -976,7 +1052,7 @@ impl SimulationServer {
                 .lock()
                 .finished
                 .remove(&ticket)
-                .unwrap_or_else(|| Response::error(format!("unknown session {session_id}"))),
+                .unwrap_or_else(|| unknown_session(session_id)),
         }
     }
 
@@ -990,7 +1066,7 @@ impl SimulationServer {
                 self.maybe_checkpoint_dirty(id, &mut guard);
                 response
             }
-            None => Response::error(format!("unknown session {id}")),
+            None => unknown_session(id),
         }
     }
 
@@ -1132,148 +1208,6 @@ impl SimulationServer {
             .collect()
     }
 
-    /// Encode a response: JSON, optionally compressed.  The first byte of the
-    /// payload is a flag: 0 = plain JSON, 1 = LZSS-compressed JSON.
-    pub fn encode_response(&self, response: &Response) -> Bytes {
-        let json = serde_json::to_vec(response).expect("responses serialize");
-        if self.config.compress_responses {
-            let compressed = rvsim_compress::compress(&json);
-            let mut out = Vec::with_capacity(compressed.len() + 1);
-            out.push(1u8);
-            out.extend_from_slice(&compressed);
-            Bytes::from(out)
-        } else {
-            let mut out = Vec::with_capacity(json.len() + 1);
-            out.push(0u8);
-            out.extend_from_slice(&json);
-            Bytes::from(out)
-        }
-    }
-
-    /// Decode a payload produced by [`SimulationServer::encode_response`].
-    pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
-        if payload.is_empty() {
-            return Err("empty response payload".to_string());
-        }
-        match payload[0] {
-            // Plain JSON deserializes straight from the borrowed slice.
-            0 => serde_json::from_slice(&payload[1..]).map_err(|e| e.to_string()),
-            1 => {
-                let json = rvsim_compress::decompress(&payload[1..]).map_err(|e| e.to_string())?;
-                serde_json::from_slice(&json).map_err(|e| e.to_string())
-            }
-            other => Err(format!("unknown payload flag {other}")),
-        }
-    }
-
-    /// Handle a raw JSON request payload and produce an encoded response —
-    /// the full per-request work the paper's performance evaluation measures
-    /// (decode, simulate, encode, compress).  `GetState` takes the
-    /// allocation-free serve path: the snapshot renders directly into the
-    /// session's reusable buffers, and an unchanged cycle returns the cached
-    /// encoded payload without re-capturing anything.  The returned
-    /// [`Bytes`] handle shares the cache's buffer — transports write it to
-    /// the wire without ever copying the payload.
-    pub fn handle_raw(&self, request_json: &[u8]) -> Bytes {
-        self.handle_raw_traced(request_json, 0)
-    }
-
-    /// [`handle_raw`](Self::handle_raw) carrying the front end's request
-    /// id, timing the dispatch into the per-endpoint latency histogram.
-    /// The cached-serve fast paths (`GetState`/`GetStateDelta`) are timed
-    /// one request in [`RAW_SAMPLE`] and recorded with matching weight —
-    /// the untimed majority pay one relaxed counter bump.  Every other
-    /// endpoint is timed exactly: those handlers run micro- to
-    /// milliseconds, where two clock reads are noise.  No locks, no
-    /// allocation on any path.
-    pub fn handle_raw_traced(&self, request_json: &[u8], request_id: u64) -> Bytes {
-        match serde_json::from_slice::<Request>(request_json) {
-            Ok(Request::GetState { session }) => {
-                self.sampled_raw(EP_GET_STATE, || self.serve_state_raw(session))
-            }
-            Ok(Request::GetStateDelta { session, since_cycle }) => {
-                self.sampled_raw(EP_GET_STATE_DELTA, || self.serve_delta_raw(session, since_cycle))
-            }
-            Ok(request) => {
-                let started = Instant::now();
-                let endpoint = endpoint_index(&request);
-                let payload = self.encode_response(&self.handle_traced(request, request_id));
-                self.endpoints[endpoint].record(started.elapsed().as_micros() as u64);
-                payload
-            }
-            Err(e) => {
-                let started = Instant::now();
-                let payload =
-                    self.encode_response(&Response::error(format!("malformed request: {e}")));
-                self.endpoints[EP_MALFORMED].record(started.elapsed().as_micros() as u64);
-                payload
-            }
-        }
-    }
-
-    /// Dispatch one cached-serve fast-path request, timing it into
-    /// `endpoint`'s histogram (weighted) when the sampling counter elects
-    /// it.  Tick 0 is always elected, so the first request of any workload
-    /// seeds the histogram.
-    #[inline]
-    fn sampled_raw(&self, endpoint: usize, serve: impl FnOnce() -> Bytes) -> Bytes {
-        if self.raw_ticks.fetch_add(1, Ordering::Relaxed) & (RAW_SAMPLE - 1) == 0 {
-            let started = Instant::now();
-            let payload = serve();
-            self.endpoints[endpoint]
-                .record_weighted(started.elapsed().as_micros() as u64, RAW_SAMPLE);
-            payload
-        } else {
-            serve()
-        }
-    }
-
-    /// The `GetState` fast path: render the state-response JSON directly from
-    /// the simulator into the session's reusable [`SnapshotBuffer`], compress
-    /// it with the session's reusable [`Compressor`], and cache the encoded
-    /// bytes keyed by cycle.  Byte-identical to the generic
-    /// `encode_response(&handle(GetState))` path (golden-tested).
-    fn serve_state_raw(&self, id: u64) -> Bytes {
-        self.apply_deployment_overhead();
-        let Some(slot) = self.session(id) else {
-            return self.encode_response(&Response::error(format!("unknown session {id}")));
-        };
-        let mut guard = slot.session.lock();
-        let Session { simulator, serve, epoch, .. } = &mut *guard;
-        let cycle = simulator.cycle();
-        if serve.encoded_key != Some((*epoch, cycle)) {
-            serve.buffer.render_state_response(simulator);
-            // Reclaim the previous payload's allocation when every consumer
-            // has dropped its handle (the steady state once responses have
-            // been written to the wire); fall back to a fresh buffer while
-            // clones are still alive.
-            let mut out = match std::mem::take(&mut serve.encoded).try_into_vec() {
-                Ok(mut vec) => {
-                    vec.clear();
-                    vec
-                }
-                Err(_) => Vec::new(),
-            };
-            if self.config.compress_responses {
-                out.push(1u8);
-                serve.compressor.compress_into(serve.buffer.bytes(), &mut out);
-            } else {
-                out.push(0u8);
-                out.extend_from_slice(serve.buffer.bytes());
-            }
-            serve.encoded = Bytes::from(out);
-            serve.encoded_key = Some((*epoch, cycle));
-        } else {
-            self.shared_state_serves.fetch_add(1, Ordering::Relaxed);
-        }
-        // The raw path serves full snapshots; a client that later asks for a
-        // delta against this cycle must get one, so the base must exist.
-        // Capturing it structurally would defeat the fast path: instead the
-        // delta handler falls back to a full snapshot when no base matches.
-        // Serving the cache is a reference bump on the shared buffer.
-        serve.encoded.clone()
-    }
-
     fn apply_deployment_overhead(&self) {
         match self.config.mode {
             DeploymentMode::Direct => {}
@@ -1298,6 +1232,7 @@ impl SimulationServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::decode_response;
 
     const PROGRAM: &str = "
 main:
@@ -1314,18 +1249,37 @@ loop:
         SimulationServer::new(DeploymentConfig {
             mode: DeploymentMode::Direct,
             compress_responses: false,
-            worker_threads: 1,
             idle_session_ttl_seconds: None,
         })
     }
 
+    /// Send `request` down the one request path and decode the answer.
+    fn call(server: &SimulationServer, request: Request) -> Response {
+        let body = serde_json::to_vec(&request).unwrap();
+        decode_response(&server.handle_raw(&body)).unwrap()
+    }
+
+    /// The `state` payload for `sim`, built without the serve path: serde
+    /// of a structured capture, then the one-shot compressor.
+    fn reference_state(sim: &Simulator, compress: bool) -> Vec<u8> {
+        let response = Response::State(Box::new(ProcessorSnapshot::capture(sim)));
+        let json = serde_json::to_vec(&response).unwrap();
+        match compress {
+            true => [&[1u8][..], &rvsim_compress::compress(&json)].concat(),
+            false => [&[0u8][..], &json].concat(),
+        }
+    }
+
     fn create(server: &SimulationServer) -> u64 {
-        match server.handle(Request::CreateSession {
-            program: PROGRAM.into(),
-            architecture: None,
-            entry: None,
-            session: None,
-        }) {
+        match call(
+            server,
+            Request::CreateSession {
+                program: PROGRAM.into(),
+                architecture: None,
+                entry: None,
+                session: None,
+            },
+        ) {
             Response::SessionCreated { session } => session,
             other => panic!("unexpected response {other:?}"),
         }
@@ -1336,31 +1290,31 @@ loop:
         let server = server();
         let id = create(&server);
         assert_eq!(server.session_count(), 1);
-        let r = server.handle(Request::Step { session: id, cycles: 5 });
+        let r = call(&server, Request::Step { session: id, cycles: 5 });
         assert_eq!(r, Response::Stepped { cycle: 5, halted: false });
-        let r = server.handle(Request::Run { session: id, max_cycles: 100_000 });
+        let r = call(&server, Request::Run { session: id, max_cycles: 100_000 });
         match r {
             Response::Stepped { halted, .. } => assert!(halted),
             other => panic!("unexpected {other:?}"),
         }
-        match server.handle(Request::GetStats { session: id }) {
+        match call(&server, Request::GetStats { session: id }) {
             Response::Stats(stats) => {
                 assert!(stats.committed > 20);
                 assert!(stats.ipc() > 0.0);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(server.handle(Request::DestroySession { session: id }), Response::Destroyed);
+        assert_eq!(call(&server, Request::DestroySession { session: id }), Response::Destroyed);
         assert_eq!(server.session_count(), 0);
-        assert!(server.handle(Request::Step { session: id, cycles: 1 }).is_error());
+        assert!(call(&server, Request::Step { session: id, cycles: 1 }).is_error());
     }
 
     #[test]
     fn state_snapshot_and_step_back() {
         let server = server();
         let id = create(&server);
-        server.handle(Request::Step { session: id, cycles: 10 });
-        let r = server.handle(Request::GetState { session: id });
+        call(&server, Request::Step { session: id, cycles: 10 });
+        let r = call(&server, Request::GetState { session: id });
         match r {
             Response::State(snapshot) => {
                 assert_eq!(snapshot.cycle, 10);
@@ -1368,19 +1322,91 @@ loop:
             }
             other => panic!("unexpected {other:?}"),
         }
-        let r = server.handle(Request::StepBack { session: id, cycles: 3 });
+        let r = call(&server, Request::StepBack { session: id, cycles: 3 });
         assert_eq!(r, Response::Stepped { cycle: 7, halted: false });
+    }
+
+    #[test]
+    fn step_back_of_any_depth_is_one_bounded_replay() {
+        // One reset, not `cycles` of them: rewinding past cycle 0 answers at
+        // once instead of pinning a dispatch worker practically forever.
+        let server = Arc::new(server());
+        let id = create(&server);
+        call(&server, Request::Step { session: id, cycles: 12 });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rewinder = Arc::clone(&server);
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(call(&rewinder, Request::StepBack { session: id, cycles: u64::MAX }));
+        });
+        let answer = rx.recv_timeout(Duration::from_secs(5)).expect("StepBack{u64::MAX} hangs");
+        assert_eq!(answer, Response::Stepped { cycle: 0, halted: false });
+        handle.join().unwrap();
+
+        // k cycles at once land on the bytes of k single steps back.
+        let (k, start) = (4, 10);
+        let (at_once, one_by_one) = (create(&server), create(&server));
+        for session in [at_once, one_by_one] {
+            call(&server, Request::Step { session, cycles: start });
+        }
+        let r = call(&server, Request::StepBack { session: at_once, cycles: k });
+        assert_eq!(r, Response::Stepped { cycle: start - k, halted: false });
+        for _ in 0..k {
+            call(&server, Request::StepBack { session: one_by_one, cycles: 1 });
+        }
+        let state = |session| {
+            let get_state = serde_json::to_vec(&Request::GetState { session }).unwrap();
+            server.handle_raw(&get_state)
+        };
+        assert_eq!(state(at_once), state(one_by_one));
+    }
+
+    #[test]
+    fn every_request_is_timed_under_its_own_endpoint_label() {
+        let server = server();
+        let id = create(&server);
+        let envelope =
+            match call(&server, Request::SerializeSession { session: id, destroy: false }) {
+                Response::Serialized(envelope) => envelope,
+                other => panic!("unexpected {other:?}"),
+            };
+        for request in [
+            Request::Compile { source: "int main(void) { return 0; }".into(), optimization: 0 },
+            Request::Step { session: id, cycles: 2 },
+            Request::StepBack { session: id, cycles: 1 },
+            Request::Run { session: id, max_cycles: 10 },
+            Request::GetStats { session: id },
+            Request::RestoreSession { envelope, replace: true },
+            Request::ListSessions,
+            Request::DestroySession { session: id },
+        ] {
+            call(&server, request);
+        }
+        server.handle_raw(b"{not json");
+        // The sampled fast paths share one tick counter: tick 0 (the
+        // GetState) and tick 16 (the last delta) are timed, each standing
+        // in for 16 requests.
+        call(&server, Request::GetState { session: id });
+        for _ in 0..RAW_SAMPLE {
+            call(&server, Request::GetStateDelta { session: id, since_cycle: 0 });
+        }
+        for (label, snapshot) in server.endpoint_latency() {
+            let expected = if label.starts_with("get_state") { RAW_SAMPLE } else { 1 };
+            assert_eq!(snapshot.count(), expected, "{label}");
+        }
     }
 
     #[test]
     fn create_session_with_bad_program_reports_error() {
         let server = server();
-        let r = server.handle(Request::CreateSession {
-            program: "main:\n  bogus a0, a1\n".into(),
-            architecture: None,
-            entry: None,
-            session: None,
-        });
+        let r = call(
+            &server,
+            Request::CreateSession {
+                program: "main:\n  bogus a0, a1\n".into(),
+                architecture: None,
+                entry: None,
+                session: None,
+            },
+        );
         assert!(r.is_error());
         assert_eq!(server.session_count(), 0);
     }
@@ -1388,30 +1414,37 @@ loop:
     #[test]
     fn compile_request_round_trips_through_assembler() {
         let server = server();
-        let r = server.handle(Request::Compile {
-            source: "int main(void) { int s = 0; for (int i = 0; i < 5; i++) s += i; return s; }"
-                .into(),
-            optimization: 2,
-        });
+        let r = call(
+            &server,
+            Request::Compile {
+                source:
+                    "int main(void) { int s = 0; for (int i = 0; i < 5; i++) s += i; return s; }"
+                        .into(),
+                optimization: 2,
+            },
+        );
         match r {
             Response::Compiled { assembly, line_map } => {
                 assert!(assembly.contains("main:"));
                 assert!(!line_map.is_empty());
                 // The compiled assembly must itself create a valid session.
-                let r2 = server.handle(Request::CreateSession {
-                    program: assembly,
-                    architecture: None,
-                    entry: None,
-                    session: None,
-                });
+                let r2 = call(
+                    &server,
+                    Request::CreateSession {
+                        program: assembly,
+                        architecture: None,
+                        entry: None,
+                        session: None,
+                    },
+                );
                 assert!(matches!(r2, Response::SessionCreated { .. }));
             }
             other => panic!("unexpected {other:?}"),
         }
-        let r = server.handle(Request::Compile {
-            source: "int main(void) { return 1 + ; }".into(),
-            optimization: 0,
-        });
+        let r = call(
+            &server,
+            Request::Compile { source: "int main(void) { return 1 + ; }".into(), optimization: 0 },
+        );
         assert!(r.is_error());
     }
 
@@ -1421,14 +1454,13 @@ loop:
             let server = SimulationServer::new(DeploymentConfig {
                 mode: DeploymentMode::Direct,
                 compress_responses: compress,
-                worker_threads: 1,
                 idle_session_ttl_seconds: None,
             });
             let id = create(&server);
             let request = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
             let payload = server.handle_raw(&request);
             assert_eq!(payload[0], compress as u8);
-            let response = SimulationServer::decode_response(&payload).unwrap();
+            let response = decode_response(&payload).unwrap();
             assert!(matches!(response, Response::State(_)));
         }
     }
@@ -1437,10 +1469,10 @@ loop:
     fn malformed_raw_request_is_an_error_response() {
         let server = server();
         let payload = server.handle_raw(b"{not json");
-        let response = SimulationServer::decode_response(&payload).unwrap();
+        let response = decode_response(&payload).unwrap();
         assert!(response.is_error());
-        assert!(SimulationServer::decode_response(&[]).is_err());
-        assert!(SimulationServer::decode_response(&[9, 1, 2]).is_err());
+        assert!(decode_response(&[]).is_err());
+        assert!(decode_response(&[9, 1, 2]).is_err());
     }
 
     #[test]
@@ -1449,7 +1481,6 @@ loop:
         let container = SimulationServer::new(DeploymentConfig {
             mode: DeploymentMode::Containerized { request_overhead_us: 200 },
             compress_responses: false,
-            worker_threads: 1,
             idle_session_ttl_seconds: None,
         });
         let id_d = create(&direct);
@@ -1457,7 +1488,7 @@ loop:
         let time = |s: &SimulationServer, id: u64| {
             let start = std::time::Instant::now();
             for _ in 0..20 {
-                s.handle(Request::Step { session: id, cycles: 1 });
+                call(s, Request::Step { session: id, cycles: 1 });
             }
             start.elapsed()
         };
@@ -1471,38 +1502,37 @@ loop:
 
     #[test]
     fn raw_get_state_is_byte_identical_to_generic_encode_across_run() {
-        // The fast path (direct render + cached payload) must be
-        // indistinguishable on the wire from the generic capture+serde path,
-        // from the fresh session through mid-run to the halted state, both
-        // with and without compression.
+        // The serve path (direct render + cached payload) must be
+        // indistinguishable on the wire from serde of a structured capture
+        // of a simulator stepped in lockstep, from the fresh session through
+        // mid-run to the halted state, both with and without compression.
         for compress in [false, true] {
             let server = SimulationServer::new(DeploymentConfig {
                 mode: DeploymentMode::Direct,
                 compress_responses: compress,
-                worker_threads: 1,
                 idle_session_ttl_seconds: None,
             });
             let id = create(&server);
+            let mut sim =
+                Simulator::from_assembly(PROGRAM, &ArchitectureConfig::default()).unwrap();
             let raw_request = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
             loop {
-                let fast = server.handle_raw(&raw_request);
-                let generic =
-                    server.encode_response(&server.handle(Request::GetState { session: id }));
+                let served = server.handle_raw(&raw_request);
                 assert_eq!(
-                    fast, generic,
-                    "fast path differs from generic path (compress={compress})"
+                    served,
+                    reference_state(&sim, compress),
+                    "served payload differs from the reference at cycle {} (compress={compress})",
+                    sim.cycle()
                 );
-                let halted = match server.handle(Request::Step { session: id, cycles: 1 }) {
-                    Response::Stepped { halted, .. } => halted,
-                    other => panic!("unexpected {other:?}"),
-                };
-                if halted {
-                    let fast = server.handle_raw(&raw_request);
-                    let generic =
-                        server.encode_response(&server.handle(Request::GetState { session: id }));
-                    assert_eq!(fast, generic, "halted-state payload differs");
+                if sim.is_halted() {
                     break;
                 }
+                sim.step();
+                let stepped = call(&server, Request::Step { session: id, cycles: 1 });
+                assert_eq!(
+                    stepped,
+                    Response::Stepped { cycle: sim.cycle(), halted: sim.is_halted() }
+                );
             }
         }
     }
@@ -1511,16 +1541,16 @@ loop:
     fn unchanged_cycle_returns_cached_payload() {
         let server = server();
         let id = create(&server);
-        server.handle(Request::Step { session: id, cycles: 5 });
+        call(&server, Request::Step { session: id, cycles: 5 });
         let raw_request = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
         let first = server.handle_raw(&raw_request);
         let second = server.handle_raw(&raw_request);
         assert_eq!(first, second, "same cycle must serve identical bytes");
-        server.handle(Request::Step { session: id, cycles: 1 });
+        call(&server, Request::Step { session: id, cycles: 1 });
         let third = server.handle_raw(&raw_request);
         assert_ne!(first, third, "advancing the cycle must refresh the payload");
         // Stepping back to an earlier cycle re-renders deterministically.
-        server.handle(Request::StepBack { session: id, cycles: 1 });
+        call(&server, Request::StepBack { session: id, cycles: 1 });
         let fourth = server.handle_raw(&raw_request);
         assert_eq!(first, fourth, "deterministic replay must reproduce the payload");
     }
@@ -1529,11 +1559,11 @@ loop:
     fn delta_protocol_reconstructs_full_snapshots() {
         let server = server();
         let id = create(&server);
-        server.handle(Request::Step { session: id, cycles: 3 });
+        call(&server, Request::Step { session: id, cycles: 3 });
 
         // First delta request has no base: full snapshot fallback.
         let base =
-            match server.handle(Request::GetStateDelta { session: id, since_cycle: u64::MAX }) {
+            match call(&server, Request::GetStateDelta { session: id, since_cycle: u64::MAX }) {
                 Response::State(snapshot) => *snapshot,
                 other => panic!("expected full fallback, got {other:?}"),
             };
@@ -1542,9 +1572,9 @@ loop:
         // exact capture.
         let mut held = base;
         for _ in 0..10 {
-            server.handle(Request::Step { session: id, cycles: 1 });
+            call(&server, Request::Step { session: id, cycles: 1 });
             let response =
-                server.handle(Request::GetStateDelta { session: id, since_cycle: held.cycle });
+                call(&server, Request::GetStateDelta { session: id, since_cycle: held.cycle });
             match response {
                 Response::StateDelta(delta) => {
                     assert_eq!(delta.since_cycle, held.cycle);
@@ -1552,7 +1582,7 @@ loop:
                 }
                 other => panic!("expected a delta, got {other:?}"),
             }
-            let full = match server.handle(Request::GetState { session: id }) {
+            let full = match call(&server, Request::GetState { session: id }) {
                 Response::State(snapshot) => *snapshot,
                 other => panic!("unexpected {other:?}"),
             };
@@ -1560,15 +1590,15 @@ loop:
         }
 
         // A stale base (client fell behind) falls back to a full snapshot.
-        server.handle(Request::Step { session: id, cycles: 2 });
-        let response = server.handle(Request::GetStateDelta { session: id, since_cycle: 1 });
+        call(&server, Request::Step { session: id, cycles: 2 });
+        let response = call(&server, Request::GetStateDelta { session: id, since_cycle: 1 });
         assert!(matches!(response, Response::State(_)), "stale base must fall back");
     }
 
     #[test]
     fn delta_for_unknown_session_is_an_error() {
         let server = server();
-        let r = server.handle(Request::GetStateDelta { session: 99, since_cycle: 0 });
+        let r = call(&server, Request::GetStateDelta { session: 99, since_cycle: 0 });
         assert!(r.is_error());
     }
 
@@ -1577,14 +1607,13 @@ loop:
         let compressed_server = SimulationServer::new(DeploymentConfig {
             mode: DeploymentMode::Direct,
             compress_responses: true,
-            worker_threads: 1,
             idle_session_ttl_seconds: None,
         });
         let plain_server = server();
         let id_c = create(&compressed_server);
         let id_p = create(&plain_server);
-        compressed_server.handle(Request::Step { session: id_c, cycles: 5 });
-        plain_server.handle(Request::Step { session: id_p, cycles: 5 });
+        call(&compressed_server, Request::Step { session: id_c, cycles: 5 });
+        call(&plain_server, Request::Step { session: id_p, cycles: 5 });
         let req_c = serde_json::to_vec(&Request::GetState { session: id_c }).unwrap();
         let req_p = serde_json::to_vec(&Request::GetState { session: id_p }).unwrap();
         let compressed = compressed_server.handle_raw(&req_c);
@@ -1606,11 +1635,10 @@ loop:
             let server = SimulationServer::new(DeploymentConfig {
                 mode: DeploymentMode::Direct,
                 compress_responses: compress,
-                worker_threads: 1,
                 idle_session_ttl_seconds: None,
             });
             let id = create(&server);
-            server.handle(Request::Step { session: id, cycles: 7 });
+            call(&server, Request::Step { session: id, cycles: 7 });
             let request = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
             let first = server.handle_raw(&request);
             let second = server.handle_raw(&request);
@@ -1624,7 +1652,7 @@ loop:
             // Advancing the cycle refreshes the payload; dropping our handles
             // first lets the refresh reclaim the very same allocation, but
             // either way the bytes change.
-            server.handle(Request::Step { session: id, cycles: 1 });
+            call(&server, Request::Step { session: id, cycles: 1 });
             drop((first, second));
             let fourth = server.handle_raw(&request);
             assert_ne!(&third[..], &fourth[..], "new cycle must re-render");
@@ -1650,7 +1678,6 @@ loop:
         let server = SimulationServer::new(DeploymentConfig {
             mode: DeploymentMode::Direct,
             compress_responses: false,
-            worker_threads: 1,
             idle_session_ttl_seconds: Some(3600),
         });
         let stale = create(&server);
@@ -1665,13 +1692,13 @@ loop:
         // clock, then touch the fresh one: only the untouched session is
         // older than the cutoff.
         server.advance_clock(2 * 3600 * 1000);
-        server.handle(Request::Step { session: fresh, cycles: 1 });
+        call(&server, Request::Step { session: fresh, cycles: 1 });
         let evicted = server.evict_idle_older_than(Duration::from_secs(3600));
         assert_eq!(evicted, 1, "exactly the untouched session is swept");
         assert_eq!(server.session_count(), 1);
         assert_eq!(server.evicted_session_count(), 1);
-        assert!(server.handle(Request::Step { session: stale, cycles: 1 }).is_error());
-        assert!(!server.handle(Request::Step { session: fresh, cycles: 1 }).is_error());
+        assert!(call(&server, Request::Step { session: stale, cycles: 1 }).is_error());
+        assert!(!call(&server, Request::Step { session: fresh, cycles: 1 }).is_error());
 
         // A zero TTL sweeps everything that is not mid-request.
         assert_eq!(server.evict_idle_older_than(Duration::ZERO), 1);
@@ -1690,18 +1717,21 @@ loop:
             threads.push(std::thread::spawn(move || {
                 let mut kept = 0usize;
                 for round in 0..20 {
-                    let id = match server.handle(Request::CreateSession {
-                        program: PROGRAM.into(),
-                        architecture: None,
-                        entry: None,
-                        session: None,
-                    }) {
+                    let id = match call(
+                        &server,
+                        Request::CreateSession {
+                            program: PROGRAM.into(),
+                            architecture: None,
+                            entry: None,
+                            session: None,
+                        },
+                    ) {
                         Response::SessionCreated { session } => session,
                         other => panic!("unexpected {other:?}"),
                     };
                     if round % 2 == 0 {
                         assert_eq!(
-                            server.handle(Request::DestroySession { session: id }),
+                            call(&server, Request::DestroySession { session: id }),
                             Response::Destroyed
                         );
                     } else {
@@ -1716,8 +1746,8 @@ loop:
         // Destroying a session twice fails the second time and does not
         // corrupt the count.
         let id = create(&server);
-        assert_eq!(server.handle(Request::DestroySession { session: id }), Response::Destroyed);
-        assert!(server.handle(Request::DestroySession { session: id }).is_error());
+        assert_eq!(call(&server, Request::DestroySession { session: id }), Response::Destroyed);
+        assert!(call(&server, Request::DestroySession { session: id }).is_error());
         assert_eq!(server.session_count(), kept);
     }
 
@@ -1726,7 +1756,7 @@ loop:
         let server = server();
         let id = create(&server);
         for i in 1..=10u64 {
-            let r = server.handle(Request::Step { session: id, cycles: 1 });
+            let r = call(&server, Request::Step { session: id, cycles: 1 });
             assert_eq!(r, Response::Stepped { cycle: i, halted: false });
         }
         assert_eq!(server.coalesced_step_count(), 0, "no concurrency, no coalescing");
@@ -1756,12 +1786,15 @@ loop:
     ret
 ";
         let create_long = |server: &SimulationServer| -> u64 {
-            match server.handle(Request::CreateSession {
-                program: LONG_PROGRAM.into(),
-                architecture: None,
-                entry: None,
-                session: None,
-            }) {
+            match call(
+                server,
+                Request::CreateSession {
+                    program: LONG_PROGRAM.into(),
+                    architecture: None,
+                    entry: None,
+                    session: None,
+                },
+            ) {
                 Response::SessionCreated { session } => session,
                 other => panic!("unexpected response {other:?}"),
             }
@@ -1778,7 +1811,7 @@ loop:
                 barrier.wait();
                 let mut cycles_seen = Vec::new();
                 for _ in 0..STEPS_PER_THREAD {
-                    match server.handle(Request::Step { session: id, cycles: CYCLES_PER_STEP }) {
+                    match call(&server, Request::Step { session: id, cycles: CYCLES_PER_STEP }) {
                         Response::Stepped { cycle, .. } => cycles_seen.push(cycle),
                         other => panic!("unexpected {other:?}"),
                     }
@@ -1800,7 +1833,7 @@ loop:
         // (a) + (c): final state equals a sequential run of the same total.
         let sequential = server();
         let id_seq = create_long(&sequential);
-        sequential.handle(Request::Step { session: id_seq, cycles: total });
+        call(&sequential, Request::Step { session: id_seq, cycles: total });
         let raw_conc = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
         let raw_seq = serde_json::to_vec(&Request::GetState { session: id_seq }).unwrap();
         let conc_payload = concurrent.handle_raw(&raw_conc);
@@ -1820,7 +1853,7 @@ loop:
     fn shared_state_serves_are_counted_on_cache_hits() {
         let server = server();
         let id = create(&server);
-        server.handle(Request::Step { session: id, cycles: 4 });
+        call(&server, Request::Step { session: id, cycles: 4 });
         let request = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
         assert_eq!(server.shared_state_serve_count(), 0);
         let _first = server.handle_raw(&request); // renders + caches
@@ -1828,7 +1861,7 @@ loop:
         let _second = server.handle_raw(&request); // cache hit
         let _third = server.handle_raw(&request); // cache hit
         assert_eq!(server.shared_state_serve_count(), 2);
-        server.handle(Request::Step { session: id, cycles: 1 });
+        call(&server, Request::Step { session: id, cycles: 1 });
         let _fourth = server.handle_raw(&request); // cycle moved: re-render
         assert_eq!(server.shared_state_serve_count(), 2);
     }
@@ -1837,26 +1870,26 @@ loop:
     fn serialize_restore_round_trips_a_live_session() {
         let server = server();
         let id = create(&server);
-        server.handle(Request::Step { session: id, cycles: 7 });
+        call(&server, Request::Step { session: id, cycles: 7 });
         let raw_request = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
         let before = server.handle_raw(&raw_request).to_vec();
 
         // Serialize-with-destroy vacates the session atomically.
-        let envelope = match server.handle(Request::SerializeSession { session: id, destroy: true })
+        let envelope = match call(&server, Request::SerializeSession { session: id, destroy: true })
         {
             Response::Serialized(envelope) => envelope,
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(envelope.cycle, 7);
         assert_eq!(server.session_count(), 0);
-        assert!(server.handle(Request::Step { session: id, cycles: 1 }).is_error());
+        assert!(call(&server, Request::Step { session: id, cycles: 1 }).is_error());
 
         // Restore reinstalls under the original id with identical state.
-        let r = server.handle(Request::RestoreSession { envelope, replace: false });
+        let r = call(&server, Request::RestoreSession { envelope, replace: false });
         assert_eq!(r, Response::SessionCreated { session: id });
         let after = server.handle_raw(&raw_request).to_vec();
         assert_eq!(before, after, "restored session must serve identical state bytes");
-        let r = server.handle(Request::Step { session: id, cycles: 1 });
+        let r = call(&server, Request::Step { session: id, cycles: 1 });
         assert_eq!(r, Response::Stepped { cycle: 8, halted: false });
     }
 
@@ -1877,38 +1910,44 @@ loop:
 ";
         let server = server();
         let id = create(&server);
-        server.handle(Request::Step { session: id, cycles: 5 });
+        call(&server, Request::Step { session: id, cycles: 5 });
         let raw_request = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
         let cached = server.handle_raw(&raw_request).to_vec();
 
         // Build an envelope of a *different* program at the same cycle and
         // install it in place under the same id.
         let other = create_with(&server, OTHER_PROGRAM);
-        server.handle(Request::Step { session: other, cycles: 5 });
+        call(&server, Request::Step { session: other, cycles: 5 });
         let mut envelope =
-            match server.handle(Request::SerializeSession { session: other, destroy: true }) {
+            match call(&server, Request::SerializeSession { session: other, destroy: true }) {
                 Response::Serialized(envelope) => envelope,
                 other => panic!("unexpected {other:?}"),
             };
         envelope.session = id;
-        let r = server.handle(Request::RestoreSession { envelope, replace: true });
+        let r = call(&server, Request::RestoreSession { envelope, replace: true });
         assert_eq!(r, Response::SessionCreated { session: id });
 
         let fresh = server.handle_raw(&raw_request).to_vec();
         assert_ne!(cached, fresh, "replaced state at the same cycle must re-render");
-        // And the fresh payload matches the generic path for the new state.
-        let generic =
-            server.encode_response(&server.handle(Request::GetState { session: id })).to_vec();
-        assert_eq!(fresh, generic);
+        // And the fresh payload is the new state's.
+        let mut sim =
+            Simulator::from_assembly(OTHER_PROGRAM, &ArchitectureConfig::default()).unwrap();
+        for _ in 0..5 {
+            sim.step();
+        }
+        assert_eq!(fresh, reference_state(&sim, false));
     }
 
     fn create_with(server: &SimulationServer, program: &str) -> u64 {
-        match server.handle(Request::CreateSession {
-            program: program.into(),
-            architecture: None,
-            entry: None,
-            session: None,
-        }) {
+        match call(
+            server,
+            Request::CreateSession {
+                program: program.into(),
+                architecture: None,
+                entry: None,
+                session: None,
+            },
+        ) {
             Response::SessionCreated { session } => session,
             other => panic!("unexpected response {other:?}"),
         }
@@ -1917,25 +1956,31 @@ loop:
     #[test]
     fn explicit_session_ids_are_honored_and_collisions_fail() {
         let server = server();
-        let r = server.handle(Request::CreateSession {
-            program: PROGRAM.into(),
-            architecture: None,
-            entry: None,
-            session: Some(1000),
-        });
+        let r = call(
+            &server,
+            Request::CreateSession {
+                program: PROGRAM.into(),
+                architecture: None,
+                entry: None,
+                session: Some(1000),
+            },
+        );
         assert_eq!(r, Response::SessionCreated { session: 1000 });
-        let r = server.handle(Request::CreateSession {
-            program: PROGRAM.into(),
-            architecture: None,
-            entry: None,
-            session: Some(1000),
-        });
+        let r = call(
+            &server,
+            Request::CreateSession {
+                program: PROGRAM.into(),
+                architecture: None,
+                entry: None,
+                session: Some(1000),
+            },
+        );
         assert!(r.is_error(), "duplicate explicit id must fail");
         assert_eq!(server.session_count(), 1);
         // The auto-assign counter was pushed past the explicit id.
         let auto = create(&server);
         assert!(auto > 1000, "auto id {auto} must not collide with explicit ids");
-        match server.handle(Request::ListSessions) {
+        match call(&server, Request::ListSessions) {
             Response::SessionList { sessions } => assert_eq!(sessions, vec![1000, auto]),
             other => panic!("unexpected {other:?}"),
         }
@@ -1946,7 +1991,6 @@ loop:
         let server = SimulationServer::new(DeploymentConfig {
             mode: DeploymentMode::Direct,
             compress_responses: false,
-            worker_threads: 1,
             idle_session_ttl_seconds: Some(1),
         });
         let id = create(&server);
@@ -1989,7 +2033,7 @@ loop:
 
         let waiter = {
             let server = Arc::clone(&server);
-            std::thread::spawn(move || server.handle(Request::Step { session: id, cycles: 1 }))
+            std::thread::spawn(move || call(&server, Request::Step { session: id, cycles: 1 }))
         };
         // Give the waiter time to enqueue and block on the condvar.
         while slot.steps.inner.lock().pending.is_empty() {
@@ -1997,7 +2041,7 @@ loop:
         }
         std::thread::sleep(Duration::from_millis(20));
 
-        assert_eq!(server.handle(Request::DestroySession { session: id }), Response::Destroyed);
+        assert_eq!(call(&server, Request::DestroySession { session: id }), Response::Destroyed);
         let response = waiter.join().unwrap();
         assert!(response.is_error(), "queued waiter must fail, got {response:?}");
 
@@ -2012,13 +2056,12 @@ loop:
         let server = SimulationServer::new(DeploymentConfig {
             mode: DeploymentMode::RemoteEmulated { service_time_us: 2_000 },
             compress_responses: false,
-            worker_threads: 1,
             idle_session_ttl_seconds: None,
         });
         let id = create(&server);
         let start = std::time::Instant::now();
         for _ in 0..5 {
-            server.handle(Request::Step { session: id, cycles: 1 });
+            call(&server, Request::Step { session: id, cycles: 1 });
         }
         assert!(
             start.elapsed() >= Duration::from_millis(10),
@@ -2046,7 +2089,6 @@ loop:
             DeploymentConfig {
                 mode: DeploymentMode::Direct,
                 compress_responses: false,
-                worker_threads: 1,
                 idle_session_ttl_seconds: Some(3600),
             },
             CheckpointConfig { state_dir: dir.into(), interval: Duration::ZERO, dirty_cycles },
@@ -2059,7 +2101,7 @@ loop:
         let dir = temp_state_dir();
         let server = server_with_checkpoints(&dir, 0);
         let id = create(&server);
-        server.handle(Request::Step { session: id, cycles: 7 });
+        call(&server, Request::Step { session: id, cycles: 7 });
         let raw_request = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
         let before = server.handle_raw(&raw_request).to_vec();
 
@@ -2077,7 +2119,7 @@ loop:
         // And a spilled session still shows up in the session listing.
         server.advance_clock(10_000);
         server.evict_idle_older_than(Duration::ZERO);
-        match server.handle(Request::ListSessions) {
+        match call(&server, Request::ListSessions) {
             Response::SessionList { sessions } => assert_eq!(sessions, vec![id]),
             other => panic!("unexpected {other:?}"),
         }
@@ -2089,21 +2131,21 @@ loop:
         let dir = temp_state_dir();
         let server = server_with_checkpoints(&dir, 0);
         let id = create(&server);
-        server.handle(Request::Step { session: id, cycles: 3 });
+        call(&server, Request::Step { session: id, cycles: 3 });
         assert!(server.checkpoint_dirty_sessions() >= 1);
         assert!(server.checkpoint_store().unwrap().contains(id));
-        assert_eq!(server.handle(Request::DestroySession { session: id }), Response::Destroyed);
+        assert_eq!(call(&server, Request::DestroySession { session: id }), Response::Destroyed);
         assert!(!server.checkpoint_store().unwrap().contains(id), "destroy must not resurrect");
-        assert!(server.handle(Request::Step { session: id, cycles: 1 }).is_error());
+        assert!(call(&server, Request::Step { session: id, cycles: 1 }).is_error());
         // Destroying a session that only exists on disk also works.
         let spilled = create(&server);
         server.advance_clock(10_000);
         assert_eq!(server.evict_idle_older_than(Duration::ZERO), 1);
         assert_eq!(
-            server.handle(Request::DestroySession { session: spilled }),
+            call(&server, Request::DestroySession { session: spilled }),
             Response::Destroyed
         );
-        assert!(server.handle(Request::GetState { session: spilled }).is_error());
+        assert!(call(&server, Request::GetState { session: spilled }).is_error());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2113,8 +2155,8 @@ loop:
         let first = server_with_checkpoints(&dir, 0);
         let a = create(&first);
         let b = create(&first);
-        first.handle(Request::Step { session: a, cycles: 5 });
-        first.handle(Request::Step { session: b, cycles: 9 });
+        call(&first, Request::Step { session: a, cycles: 5 });
+        call(&first, Request::Step { session: b, cycles: 9 });
         assert_eq!(first.checkpoint_dirty_sessions(), 2);
         drop(first); // the crash
 
@@ -2124,11 +2166,11 @@ loop:
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(second.session_count(), 2);
         assert_eq!(
-            second.handle(Request::Step { session: a, cycles: 1 }),
+            call(&second, Request::Step { session: a, cycles: 1 }),
             Response::Stepped { cycle: 6, halted: false }
         );
         assert_eq!(
-            second.handle(Request::Step { session: b, cycles: 1 }),
+            call(&second, Request::Step { session: b, cycles: 1 }),
             Response::Stepped { cycle: 10, halted: false }
         );
         // Fresh creates on the recovered server never collide with
@@ -2158,14 +2200,14 @@ loop:
         let store = server.checkpoint_store().unwrap();
         let installed = store.write_count();
         // 9 cycles past the install checkpoint: under the threshold.
-        server.handle(Request::Step { session: id, cycles: 9 });
+        call(&server, Request::Step { session: id, cycles: 9 });
         assert_eq!(store.write_count(), installed);
         // The 10th crosses it — the request itself writes the checkpoint.
-        server.handle(Request::Step { session: id, cycles: 1 });
+        call(&server, Request::Step { session: id, cycles: 1 });
         assert_eq!(store.write_count(), installed + 1);
         assert_eq!(store.load(id).unwrap().0.cycle, 10);
         // Run advances through with_session and checkpoints the same way.
-        server.handle(Request::Run { session: id, max_cycles: 25 });
+        call(&server, Request::Run { session: id, max_cycles: 25 });
         assert_eq!(store.write_count(), installed + 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2175,7 +2217,7 @@ loop:
         let dir = temp_state_dir();
         let server = server_with_checkpoints(&dir, 0);
         let id = create(&server);
-        server.handle(Request::Step { session: id, cycles: 4 });
+        call(&server, Request::Step { session: id, cycles: 4 });
         server.checkpoint_store().unwrap().inject_fault(CheckpointFault::NoSpace, 1);
         server.advance_clock(10_000);
         assert_eq!(
@@ -2184,7 +2226,7 @@ loop:
             "a session whose spill failed must stay resident"
         );
         assert_eq!(server.session_count(), 1);
-        assert!(!server.handle(Request::Step { session: id, cycles: 1 }).is_error());
+        assert!(!call(&server, Request::Step { session: id, cycles: 1 }).is_error());
         // With the fault disarmed, the next sweep spills it normally.
         server.advance_clock(10_000);
         assert_eq!(server.evict_idle_older_than(Duration::ZERO), 1);
@@ -2198,11 +2240,11 @@ loop:
         let dir = temp_state_dir();
         let server = server_with_checkpoints(&dir, 0);
         let live = create(&server);
-        server.handle(Request::Step { session: live, cycles: 2 });
+        call(&server, Request::Step { session: live, cycles: 2 });
         let spilled = create(&server);
-        server.handle(Request::Step { session: spilled, cycles: 6 });
+        call(&server, Request::Step { session: spilled, cycles: 6 });
         server.advance_clock(10_000);
-        server.handle(Request::Step { session: live, cycles: 1 }); // re-touch
+        call(&server, Request::Step { session: live, cycles: 1 }); // re-touch
         assert_eq!(server.evict_idle_older_than(Duration::from_secs(5)), 1);
 
         let outcomes = server.recover_sessions(&[live, spilled, 424242]);
@@ -2230,11 +2272,11 @@ loop:
         )
         .unwrap();
         let id = create(&server);
-        server.handle(Request::Step { session: id, cycles: 2 });
+        call(&server, Request::Step { session: id, cycles: 2 });
         assert_eq!(server.checkpoint_tick(), 0, "inside the first interval: no sweep");
         server.advance_clock(3600 * 1000 + 1);
         assert_eq!(server.checkpoint_tick(), 1, "past the interval: the sweep runs");
-        server.handle(Request::Step { session: id, cycles: 2 });
+        call(&server, Request::Step { session: id, cycles: 2 });
         assert_eq!(server.checkpoint_tick(), 0, "gate re-arms after a sweep");
         server.advance_clock(3600 * 1000 + 1);
         assert_eq!(server.checkpoint_tick(), 1);

@@ -8,9 +8,15 @@ use proptest::prelude::*;
 use rvsim_core::{ArchitectureConfig, ProcessorSnapshot, Simulator};
 use rvsim_server::protocol::{Request, Response};
 use rvsim_server::server::{DeploymentConfig, SimulationServer};
-use rvsim_server::{CheckpointConfig, SessionEnvelope};
+use rvsim_server::{decode_response, CheckpointConfig, SessionEnvelope};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// Send `request` down the server's one request path and decode the answer.
+fn call(server: &SimulationServer, request: Request) -> Response {
+    let body = serde_json::to_vec(&request).unwrap();
+    decode_response(&server.handle_raw(&body)).unwrap()
+}
 
 /// The preset matrix migration must hold on (the same machines the cosim
 /// batch and the throughput bench cover).
@@ -174,14 +180,14 @@ proptest! {
         .expect("state dir opens");
 
         let program = generated_program(seed_a, step, iterations, with_memory);
-        let created = server.handle(Request::CreateSession {
+        let created = call(&server, Request::CreateSession {
             program: program.clone(),
             architecture: Some(preset(preset_ix)),
             entry: None,
             session: Some(session),
         });
         prop_assert_eq!(created, Response::SessionCreated { session });
-        server.handle(Request::Step { session, cycles: capture_steps });
+        call(&server, Request::Step { session, cycles: capture_steps });
         let raw_request = serde_json::to_vec(&Request::GetState { session }).unwrap();
         let before = server.handle_raw(&raw_request).to_vec();
 
@@ -207,7 +213,7 @@ proptest! {
         for _ in 0..4 {
             reference.step();
         }
-        let stepped = server.handle(Request::Step { session, cycles: 4 });
+        let stepped = call(&server, Request::Step { session, cycles: 4 });
         prop_assert_eq!(
             stepped,
             Response::Stepped { cycle: reference.cycle(), halted: reference.is_halted() }

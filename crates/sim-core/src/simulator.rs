@@ -501,7 +501,17 @@ impl Simulator {
     /// re-fetched instruction is an index into the predecoded table, so the
     /// replay does no decoding at all.
     pub fn step_back(&mut self) {
-        let target = self.cycle.saturating_sub(1);
+        self.step_back_by(1);
+    }
+
+    /// Step `cycles` cycles backwards (stopping at cycle 0) with one reset
+    /// and one replay: the same state as `cycles` calls of
+    /// [`step_back`](Self::step_back), at the cost of one.
+    pub fn step_back_by(&mut self, cycles: u64) {
+        if cycles == 0 {
+            return;
+        }
+        let target = self.cycle.saturating_sub(cycles);
         self.reset();
         for _ in 0..target {
             self.step();

@@ -65,12 +65,12 @@ pub mod prelude {
     };
     pub use rvsim_isa::{InstructionSet, RegisterId};
     pub use rvsim_iss::{generate_program, Cosim, CosimOutcome, GenOptions, Iss};
-    pub use rvsim_loadgen::{run_load_test, run_load_test_tcp, LoadTestReport, Scenario};
+    pub use rvsim_loadgen::{run_load_test_tcp, LoadTestReport, Scenario};
     pub use rvsim_mem::{ArrayFill, CacheConfig, MemoryArray, MemorySettings, ScalarType};
     pub use rvsim_net::{NetConfig, NetServer, TcpApiClient};
     pub use rvsim_predictor::{BranchPredictorConfig, CounterState, HistoryKind, PredictorKind};
     pub use rvsim_server::{
-        DeploymentConfig, DeploymentMode, Request, Response, SimulationServer, ThreadedServer,
+        decode_response, DeploymentConfig, DeploymentMode, Request, Response, SimulationServer,
     };
 }
 

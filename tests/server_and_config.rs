@@ -17,19 +17,26 @@ loop:
     ret
 ";
 
+/// Send `request` down the server's one request path and decode the answer.
+fn call(server: &SimulationServer, request: &Request) -> Result<Response, String> {
+    let body = serde_json::to_vec(request).map_err(|e| e.to_string())?;
+    decode_response(&server.handle_raw(&body))
+}
+
 #[test]
 fn full_client_workflow_compile_create_run_stats() {
-    let server = ThreadedServer::start(SimulationServer::new(DeploymentConfig::default()));
-    let client = server.client();
+    let server = SimulationServer::new(DeploymentConfig::default());
 
     // 1. Compile C to assembly.
-    let response = client
-        .call(&Request::Compile {
+    let response = call(
+        &server,
+        &Request::Compile {
             source: "int main(void) { int s = 0; for (int i = 0; i < 16; i++) s += i; return s; }"
                 .into(),
             optimization: 2,
-        })
-        .unwrap();
+        },
+    )
+    .unwrap();
     let assembly = match response {
         Response::Compiled { assembly, .. } => assembly,
         other => panic!("unexpected {other:?}"),
@@ -38,14 +45,16 @@ fn full_client_workflow_compile_create_run_stats() {
     // 2. Create a session with a customized architecture.
     let mut arch = ArchitectureConfig::wide();
     arch.name = "workflow-test".into();
-    let response = client
-        .call(&Request::CreateSession {
+    let response = call(
+        &server,
+        &Request::CreateSession {
             program: assembly,
             architecture: Some(arch),
             entry: None,
             session: None,
-        })
-        .unwrap();
+        },
+    )
+    .unwrap();
     let session = match response {
         Response::SessionCreated { session } => session,
         other => panic!("unexpected {other:?}"),
@@ -53,9 +62,9 @@ fn full_client_workflow_compile_create_run_stats() {
 
     // 3. Interactive stepping with state snapshots (the GUI loop).
     for _ in 0..5 {
-        let stepped = client.call(&Request::Step { session, cycles: 1 }).unwrap();
+        let stepped = call(&server, &Request::Step { session, cycles: 1 }).unwrap();
         assert!(matches!(stepped, Response::Stepped { .. }));
-        let state = client.call(&Request::GetState { session }).unwrap();
+        let state = call(&server, &Request::GetState { session }).unwrap();
         match state {
             Response::State(snapshot) => assert_eq!(snapshot.int_registers.len(), 32),
             other => panic!("unexpected {other:?}"),
@@ -63,12 +72,12 @@ fn full_client_workflow_compile_create_run_stats() {
     }
 
     // 4. Run to completion and check statistics.
-    let response = client.call(&Request::Run { session, max_cycles: 1_000_000 }).unwrap();
+    let response = call(&server, &Request::Run { session, max_cycles: 1_000_000 }).unwrap();
     match response {
         Response::Stepped { halted, .. } => assert!(halted),
         other => panic!("unexpected {other:?}"),
     }
-    let response = client.call(&Request::GetStats { session }).unwrap();
+    let response = call(&server, &Request::GetStats { session }).unwrap();
     match response {
         Response::Stats(stats) => {
             assert!(stats.committed > 50);
@@ -79,8 +88,7 @@ fn full_client_workflow_compile_create_run_stats() {
     }
 
     // 5. Clean up.
-    assert_eq!(client.call(&Request::DestroySession { session }).unwrap(), Response::Destroyed);
-    server.shutdown();
+    assert_eq!(call(&server, &Request::DestroySession { session }).unwrap(), Response::Destroyed);
 }
 
 #[test]

@@ -15,7 +15,6 @@ fn start_front_end() -> NetServer {
     let deployment = DeploymentConfig {
         mode: DeploymentMode::Direct,
         compress_responses: true,
-        worker_threads: 4,
         idle_session_ttl_seconds: Some(600),
     };
     NetServer::start(SimulationServer::new(deployment), NetConfig::default())
