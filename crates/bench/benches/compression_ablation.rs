@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rvsim_bench::{program_mixed, simulator};
 use rvsim_core::{ArchitectureConfig, ProcessorSnapshot};
-use rvsim_loadgen::{run_load_test_tcp, LoadTestReport, Scenario};
+use rvsim_loadgen::{run, LoadReport, Scenario};
 use rvsim_net::{NetConfig, NetServer};
 use rvsim_server::{DeploymentConfig, DeploymentMode, SimulationServer};
 use std::hint::black_box;
@@ -48,7 +48,7 @@ fn bench_compressor(c: &mut Criterion) {
 
 /// Run 30 users for `steps` steps each against a fresh loopback front end
 /// over a direct-mode server with compression on or off.
-fn load_test(compress: bool, steps: usize) -> LoadTestReport {
+fn load_test(compress: bool, steps: usize) -> LoadReport {
     let deployment = DeploymentConfig {
         mode: DeploymentMode::Direct,
         compress_responses: compress,
@@ -56,9 +56,9 @@ fn load_test(compress: bool, steps: usize) -> LoadTestReport {
     };
     let net = NetServer::start(SimulationServer::new(deployment), NetConfig::default())
         .expect("loopback front end starts");
-    let mut scenario = Scenario::paper_scaled(30, 0.001);
+    let mut scenario = Scenario::paper_scaled(0.001);
     scenario.steps_per_user = steps;
-    let report = run_load_test_tcp(net.local_addr(), &scenario);
+    let report = run(net.local_addr(), &scenario.load(30));
     net.shutdown();
     report
 }
@@ -71,7 +71,7 @@ fn bench_load_with_and_without_compression(c: &mut Criterion) {
     for (label, compress) in [("uncompressed", false), ("compressed", true)] {
         println!("  {}", load_test(compress, 10).table_row(label));
         group.bench_with_input(BenchmarkId::new("30_users", label), &compress, |b, &compress| {
-            b.iter(|| load_test(compress, 5).transactions);
+            b.iter(|| load_test(compress, 5).requests);
         });
     }
     group.finish();

@@ -15,25 +15,25 @@
 //! throughput roughly doubles as the offered load grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rvsim_loadgen::{run_load_test_tcp, LoadTestReport, Scenario};
+use rvsim_loadgen::{run, LoadReport, Scenario};
 use rvsim_net::{NetConfig, NetServer};
 use rvsim_server::{DeploymentConfig, DeploymentMode, SimulationServer};
 
-fn scenario(users: usize) -> Scenario {
-    let mut s = Scenario::paper_scaled(users, 0.001);
+fn scenario() -> Scenario {
+    let mut s = Scenario::paper_scaled(0.001);
     s.steps_per_user = 10; // keep each Criterion iteration in the hundreds of ms
     s
 }
 
 /// Run the scenario for `users` against a fresh loopback front end (four
 /// dispatch workers) over a compressing server in `mode`.
-fn load_test(mode: DeploymentMode, users: usize) -> LoadTestReport {
+fn load_test(mode: DeploymentMode, users: usize) -> LoadReport {
     let deployment =
         DeploymentConfig { mode, compress_responses: true, idle_session_ttl_seconds: None };
     let net_config = NetConfig { dispatch_workers: 4, ..NetConfig::default() };
     let net = NetServer::start(SimulationServer::new(deployment), net_config)
         .expect("loopback front end starts");
-    let report = run_load_test_tcp(net.local_addr(), &scenario(users));
+    let report = run(net.local_addr(), &scenario().load(users));
     net.shutdown();
     report
 }
@@ -57,13 +57,15 @@ fn bench_table1(c: &mut Criterion) {
             let report = load_test(mode, users);
             println!(
                 "{label:<10} {users:>6} {:>12.2} {:>10.2} {:>14.2}",
-                report.median_latency_ms, report.p90_latency_ms, report.throughput_tps
+                report.median_latency_ms,
+                report.p90_latency_ms,
+                report.rps()
             );
 
             group.bench_with_input(
                 BenchmarkId::new(label, users),
                 &(mode, users),
-                |b, &(mode, users)| b.iter(|| load_test(mode, users).transactions),
+                |b, &(mode, users)| b.iter(|| load_test(mode, users).requests),
             );
         }
     }

@@ -341,7 +341,7 @@ pub struct ServerLoadSample {
     /// (`GetStateDelta` against the previously seen cycle).
     pub mode: String,
     /// The Table-I-style report.
-    pub report: rvsim_loadgen::LoadTestReport,
+    pub report: rvsim_loadgen::LoadReport,
 }
 
 /// Complete server-throughput report (`BENCH_server.json`).
@@ -358,7 +358,7 @@ pub struct ServerBenchReport {
     /// end's latency-vs-connections curve).  Populated by
     /// `rvsim-cli bench --server --high-connections`; empty otherwise.
     #[serde(default)]
-    pub high_connection: Vec<rvsim_loadgen::HighConnectionReport>,
+    pub high_connection: Vec<rvsim_loadgen::LoadReport>,
     /// Multi-node scale-out: aggregate cached-`GetState` throughput through
     /// the router tier over growing backend fleets, plus a drain-under-load
     /// measurement.  Populated by `rvsim-cli bench --server --multi-node`;
@@ -403,14 +403,6 @@ impl Default for ServerBenchOptions {
     fn default() -> Self {
         ServerBenchOptions { min_seconds: 0.5, time_scale: 0.05, users: vec![1, 8, 32] }
     }
-}
-
-fn percentile_us(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Create a direct (pool-less) server with one warmed-up session on the
@@ -469,8 +461,8 @@ fn measure_raw(scenario: &str, compress: bool, min_seconds: f64) -> RawRequestSa
         requests,
         wall_seconds,
         requests_per_second: requests as f64 / wall_seconds,
-        p50_us: percentile_us(&latencies_us, 0.5),
-        p90_us: percentile_us(&latencies_us, 0.9),
+        p50_us: rvsim_loadgen::percentile(&latencies_us, 0.5),
+        p90_us: rvsim_loadgen::percentile(&latencies_us, 0.9),
         payload_bytes,
     }
 }
@@ -523,10 +515,10 @@ pub fn run_tcp_load_bench(options: &ServerBenchOptions) -> Vec<ServerLoadSample>
                         return Vec::new();
                     }
                 };
-            let mut scenario = rvsim_loadgen::Scenario::paper_scaled(users, options.time_scale);
+            let mut scenario = rvsim_loadgen::Scenario::paper_scaled(options.time_scale);
             scenario.programs = vec![program_server()];
             scenario.delta_state = mode == "delta";
-            let report = rvsim_loadgen::run_load_test_tcp(net.local_addr(), &scenario);
+            let report = rvsim_loadgen::run(net.local_addr(), &scenario.load(users));
             net.shutdown();
             tcp.push(ServerLoadSample { users, compressed: true, mode: mode.to_string(), report });
         }
@@ -636,45 +628,39 @@ fn start_router(
     Ok((front, router))
 }
 
-/// Pick explicit session ids whose ring placement is balanced: `per_backend`
-/// ids owned by each backend, scanning upward from a fixed base.
-fn balanced_session_ids(
+/// Create and warm `per_backend` sessions on each backend behind the router
+/// at `addr`, with explicit ids picked by ring placement (scanning upward
+/// from a fixed base).  Id `j` of the result is owned by backend
+/// `j % backends`, so a [`rvsim_loadgen::Mix`] that deals the ids out to a
+/// multiple of `backends` connections pins each connection to one backend.
+fn balanced_sessions(
+    addr: std::net::SocketAddr,
     router: &rvsim_net::Router,
     backends: usize,
     per_backend: usize,
-) -> Vec<Vec<u64>> {
-    let mut ids: Vec<Vec<u64>> = vec![Vec::new(); backends];
+) -> Result<Vec<u64>, String> {
+    let mut owned: Vec<Vec<u64>> = vec![Vec::new(); backends];
     let mut candidate = rvsim_net::ROUTER_SESSION_BASE + 10_000_000;
-    while ids.iter().any(|list| list.len() < per_backend) {
+    while owned.iter().any(|list| list.len() < per_backend) {
         if let Some(owner) = router.placement(candidate) {
-            if ids[owner].len() < per_backend {
-                ids[owner].push(candidate);
+            if owned[owner].len() < per_backend {
+                owned[owner].push(candidate);
             }
         }
         candidate += 1;
     }
-    ids
+    let ids = (0..per_backend).flat_map(|i| owned.iter().map(move |list| Some(list[i])));
+    rvsim_loadgen::create_sessions(addr, &program_server(), ids)
 }
 
-/// Create and warm the given sessions through the router.
-fn warm_sessions(addr: std::net::SocketAddr, ids: &[u64]) -> Result<(), String> {
-    let mut client = rvsim_net::TcpApiClient::new(addr);
-    for &session in ids {
-        match client.call(&rvsim_server::Request::CreateSession {
-            program: program_server(),
-            architecture: None,
-            entry: None,
-            session: Some(session),
-        })? {
-            rvsim_server::Response::SessionCreated { session: created } if created == session => {}
-            other => return Err(format!("unexpected create response {other:?}")),
-        }
-        match client.call(&rvsim_server::Request::Step { session, cycles: 8 })? {
-            rvsim_server::Response::Stepped { .. } => {}
-            other => return Err(format!("unexpected step response {other:?}")),
-        }
+/// A closed-loop load of `connections` over `mix` for `seconds`.
+fn closed_loop(connections: usize, mix: rvsim_loadgen::Mix, seconds: f64) -> rvsim_loadgen::Load {
+    rvsim_loadgen::Load {
+        connections,
+        pacing: rvsim_loadgen::Pacing::ClosedLoop,
+        mix,
+        duration: std::time::Duration::from_secs_f64(seconds),
     }
-    Ok(())
 }
 
 /// One scaling point: `backends` emulated nodes behind a router, saturated
@@ -691,21 +677,14 @@ fn measure_multi_node_point(
         .map_err(|e| format!("cannot start router: {e}"))?;
     let addr = front.local_addr();
 
-    let per_backend = balanced_session_ids(&router, backends, SESSIONS_PER_BACKEND);
-    for ids in &per_backend {
-        warm_sessions(addr, ids)?;
-    }
+    let ids = balanced_sessions(addr, &router, backends, SESSIONS_PER_BACKEND)?;
 
-    // Two closed-loop clients per backend's session set: enough concurrency
-    // to overlap every backend's emulated service time, few enough threads
-    // that the (possibly single-core) host spends its cycles serving.
-    let targets: Vec<(std::net::SocketAddr, Vec<u64>)> =
-        per_backend.iter().map(|ids| (addr, ids.clone())).collect();
-    let report = rvsim_loadgen::run_cached_state_fanout(
-        &targets,
-        2,
-        std::time::Duration::from_secs_f64(seconds),
-    );
+    // Two closed-loop connections per backend's session set: enough
+    // concurrency to overlap every backend's emulated service time, little
+    // enough client work that the (possibly single-core) host spends its
+    // cycles serving.
+    let load = closed_loop(2 * backends, rvsim_loadgen::Mix::GetState(ids), seconds);
+    let report = rvsim_loadgen::run(addr, &load);
 
     let sample = MultiNodeScalingSample {
         backends,
@@ -746,14 +725,10 @@ fn measure_multi_node_drain(seconds: f64) -> Result<MultiNodeDrainSample, String
         start_router(&fleet, 8).map_err(|e| format!("cannot start router: {e}"))?;
     let addr = front.local_addr();
 
-    let per_backend = balanced_session_ids(&router, 2, SESSIONS_PER_BACKEND);
-    for ids in &per_backend {
-        warm_sessions(addr, ids)?;
-    }
-    let all_ids: Vec<u64> = per_backend.iter().flatten().copied().collect();
+    let ids = balanced_sessions(addr, &router, 2, SESSIONS_PER_BACKEND)?;
 
     // Fire the drain from a side thread a third of the way into the window,
-    // while the fan-out clients are at full speed.
+    // while the load is at full speed.
     let drain = std::thread::spawn(move || {
         std::thread::sleep(std::time::Duration::from_secs_f64(seconds / 3.0));
         rvsim_net::http_post(
@@ -763,11 +738,8 @@ fn measure_multi_node_drain(seconds: f64) -> Result<MultiNodeDrainSample, String
             std::time::Duration::from_secs(60),
         )
     });
-    let report = rvsim_loadgen::run_cached_state_fanout(
-        &[(addr, all_ids.clone())],
-        4,
-        std::time::Duration::from_secs_f64(seconds),
-    );
+    let report =
+        rvsim_loadgen::run(addr, &closed_loop(4, rvsim_loadgen::Mix::GetState(ids), seconds));
     let (status, body) = drain.join().expect("drain thread").map_err(|e| format!("drain: {e}"))?;
     if status != 200 {
         return Err(format!("drain answered {status}: {}", String::from_utf8_lossy(&body)));
@@ -902,11 +874,7 @@ fn measure_durability(seconds: f64) -> Result<DurabilitySection, String> {
     .map_err(|e| format!("cannot start router: {e}"))?;
     let addr = front.local_addr();
 
-    let per_backend = balanced_session_ids(&router, 2, SESSIONS_PER_BACKEND);
-    for ids in &per_backend {
-        warm_sessions(addr, ids)?;
-    }
-    let all_ids: Vec<u64> = per_backend.iter().flatten().copied().collect();
+    let all_ids = balanced_sessions(addr, &router, 2, SESSIONS_PER_BACKEND)?;
     let victim = fleet.remove(0);
     let survivor = fleet.remove(0);
     let sessions_on_killed_backend = victim.server().session_count();
@@ -916,12 +884,8 @@ fn measure_durability(seconds: f64) -> Result<DurabilitySection, String> {
         std::thread::sleep(std::time::Duration::from_secs_f64(seconds / 3.0));
         victim.shutdown();
     });
-    let report = rvsim_loadgen::run_step_load(
-        addr,
-        &all_ids,
-        4,
-        std::time::Duration::from_secs_f64(seconds),
-    );
+    let load = closed_loop(4, rvsim_loadgen::Mix::Step(all_ids.clone()), seconds);
+    let report = rvsim_loadgen::run(addr, &load);
     killer.join().expect("kill thread");
 
     // The router must have detected the death and run recovery by now; give
@@ -959,7 +923,7 @@ fn measure_durability(seconds: f64) -> Result<DurabilitySection, String> {
         max_staleness_ms,
         requests: report.requests,
         errors: report.errors,
-        errors_by_second: report.errors_by_second.clone(),
+        errors_by_second: report.errors_by_second,
         breaker_fast_fails: router.breaker_fast_fail_count(),
         wall_seconds: report.wall_seconds,
     };
@@ -1210,7 +1174,7 @@ mod tests {
         if !report.tcp.is_empty() {
             assert_eq!(report.tcp.len(), 2, "full + delta per user count");
             assert!(report.tcp.iter().all(|l| l.report.errors == 0));
-            assert!(report.tcp.iter().all(|l| l.report.transactions > 0));
+            assert!(report.tcp.iter().all(|l| l.report.requests > 0));
         }
         let json = serde_json::to_string(&report).unwrap();
         let back: ServerBenchReport = serde_json::from_str(&json).unwrap();

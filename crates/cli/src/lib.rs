@@ -526,10 +526,8 @@ fn run_server_bench(options: &BenchCliOptions) -> Result<String, String> {
     };
     let mut report = rvsim_bench::run_server_bench(&bench_options);
     if !options.high_connections.is_empty() {
-        report.high_connection = run_high_connection_sweep(
-            &options.high_connections,
-            &rvsim_loadgen::HighConnectionOptions::default(),
-        )?;
+        report.high_connection =
+            run_high_connection_sweep(&options.high_connections, SWEEP_RPS, SWEEP_DURATION)?;
     }
     if !options.multi_node.is_empty() {
         // Each scaling point is its own fleet; a sub-second window is too
@@ -622,7 +620,7 @@ fn run_server_bench(options: &BenchCliOptions) -> Result<String, String> {
     if !report.high_connection.is_empty() {
         out.push_str("=== high-connection sweep (event-loop front end, TCP loopback) ===\n");
         for r in &report.high_connection {
-            out.push_str(&r.table_row());
+            out.push_str(&r.table_row(&format!("{SWEEP_RPS} rps")));
             out.push('\n');
         }
     }
@@ -694,10 +692,21 @@ fn run_server_bench(options: &BenchCliOptions) -> Result<String, String> {
     Ok(out)
 }
 
+/// Aggregate request rate of the high-connection sweep, held constant
+/// across points so latency differences come from the connection count.
+const SWEEP_RPS: f64 = 2_000.0;
+
+/// How long each high-connection sweep point runs.
+const SWEEP_DURATION: std::time::Duration = std::time::Duration::from_secs(3);
+
+/// Sessions the sweep's connections share.  Few on purpose: most requests
+/// hit an unchanged cycle, exercising the cached-`GetState` path under
+/// connection pressure.
+const SWEEP_SESSIONS: usize = 8;
+
 /// Run the high-connection latency sweep: hold `counts` keep-alive loopback
-/// connections (one point per count) against the event-loop front end at a
-/// constant aggregate request rate.  `base` carries the pacing/duration
-/// parameters; the per-point connection count overrides `base.connections`.
+/// connections (one point per count) against the event-loop front end, each
+/// point pacing `rps` aggregate cached `GetState` requests for `duration`.
 ///
 /// Client and server each burn one fd per connection, so both halves fit a
 /// single process only while twice the largest count stays inside the fd
@@ -705,8 +714,9 @@ fn run_server_bench(options: &BenchCliOptions) -> Result<String, String> {
 /// process with its own budget, discovered through the startup banner.
 fn run_high_connection_sweep(
     counts: &[usize],
-    base: &rvsim_loadgen::HighConnectionOptions,
-) -> Result<Vec<rvsim_loadgen::HighConnectionReport>, String> {
+    rps: f64,
+    duration: std::time::Duration,
+) -> Result<Vec<rvsim_loadgen::LoadReport>, String> {
     use std::io::BufRead;
 
     let max = counts.iter().copied().max().unwrap_or(0);
@@ -714,13 +724,21 @@ fn run_high_connection_sweep(
     let in_process = max.saturating_mul(2) + 128 <= rvsim_loadgen::fd_budget();
 
     let sweep = |addr: std::net::SocketAddr| -> Result<Vec<_>, String> {
-        counts
+        let sessions = rvsim_loadgen::create_sessions(
+            addr,
+            &rvsim_loadgen::sample_program_loop(),
+            std::iter::repeat_n(None, SWEEP_SESSIONS),
+        )?;
+        let point = |connections| rvsim_loadgen::Load {
+            connections,
+            pacing: rvsim_loadgen::Pacing::Rate(rps),
+            mix: rvsim_loadgen::Mix::GetState(sessions.clone()),
+            duration,
+        };
+        Ok(counts
             .iter()
-            .map(|&connections| {
-                let options = rvsim_loadgen::HighConnectionOptions { connections, ..base.clone() };
-                rvsim_loadgen::run_high_connection_test(addr, &options)
-            })
-            .collect()
+            .map(|&connections| rvsim_loadgen::run(addr, &point(connections)))
+            .collect())
     };
 
     if in_process {
@@ -1310,8 +1328,8 @@ OPTIONS:
     --help                  show this help
 
 Creates the sessions, steps each once to warm the serve cache, then hammers
-GetState from every thread until the window closes.  Exit status is 1 when
-the error ratio exceeds the budget — the loadgen doubles as the
+GetState over every connection until the window closes.  Exit status is 1
+when the error ratio exceeds the budget — the loadgen doubles as the
 router-smoke and chaos-smoke check in CI.
 ";
 
@@ -1408,28 +1426,19 @@ impl LoadgenCliOptions {
 /// Run the `loadgen` subcommand.  Any failed request is an `Err` so the
 /// binary exits non-zero.
 pub fn run_loadgen(options: &LoadgenCliOptions) -> Result<String, String> {
-    let mut client = rvsim_net::TcpApiClient::new(options.addr);
-    let mut ids = Vec::with_capacity(options.sessions);
-    for _ in 0..options.sessions {
-        match client.call(&rvsim_server::Request::CreateSession {
-            program: rvsim_loadgen::sample_program_loop(),
-            architecture: None,
-            entry: None,
-            session: None,
-        })? {
-            rvsim_server::Response::SessionCreated { session } => ids.push(session),
-            other => return Err(format!("unexpected create response {other:?}")),
-        }
-        let session = *ids.last().expect("just pushed");
-        match client.call(&rvsim_server::Request::Step { session, cycles: 8 })? {
-            rvsim_server::Response::Stepped { .. } => {}
-            other => return Err(format!("unexpected step response {other:?}")),
-        }
-    }
-    let report = rvsim_loadgen::run_cached_state_fanout(
-        &[(options.addr, ids)],
-        options.threads,
-        std::time::Duration::from_secs_f64(options.seconds),
+    let ids = rvsim_loadgen::create_sessions(
+        options.addr,
+        &rvsim_loadgen::sample_program_loop(),
+        std::iter::repeat_n(None, options.sessions),
+    )?;
+    let report = rvsim_loadgen::run(
+        options.addr,
+        &rvsim_loadgen::Load {
+            connections: options.threads,
+            pacing: rvsim_loadgen::Pacing::ClosedLoop,
+            mix: rvsim_loadgen::Mix::GetState(ids),
+            duration: std::time::Duration::from_secs_f64(options.seconds),
+        },
     );
     let text = match options.format {
         OutputFormat::Json => {
@@ -1448,7 +1457,7 @@ pub fn run_loadgen(options: &LoadgenCliOptions) -> Result<String, String> {
             out
         }
         OutputFormat::Text => format!(
-            "{} requests in {:.2}s over {} threads × {} sessions: {:.0} req/s, {} errors \
+            "{} requests in {:.2}s over {} connections × {} sessions: {:.0} req/s, {} errors \
              (ratio {:.4}, budget {:.4})\n",
             report.requests,
             report.wall_seconds,
@@ -2544,22 +2553,17 @@ main:
             eprintln!("skipping sweep test: loopback unavailable");
             return;
         }
-        let base = rvsim_loadgen::HighConnectionOptions {
-            target_rps: 400.0,
-            warmup: std::time::Duration::from_millis(50),
-            duration: std::time::Duration::from_millis(400),
-            sessions: 2,
-            ..Default::default()
-        };
         // 16 and 32 connections stay far inside the fd budget, so this
         // exercises the in-process server path end to end.
-        let reports = run_high_connection_sweep(&[16, 32], &base).unwrap();
+        let reports =
+            run_high_connection_sweep(&[16, 32], 400.0, std::time::Duration::from_millis(450))
+                .unwrap();
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].connections, 16);
         assert_eq!(reports[1].connections, 32);
         for r in &reports {
             assert_eq!(r.errors, 0, "sweep request failed");
-            assert!(r.transactions > 0);
+            assert!(r.requests > 0);
         }
     }
 

@@ -1,85 +1,126 @@
-//! # rvsim-loadgen — closed-loop load generator
+//! # rvsim-loadgen — the load generator
 //!
-//! Reproduces the paper's Apache JMeter load test (§IV-A, Table I): a number
-//! of simulated users, a ramp-up period, a fixed think time between requests,
-//! and 40 interactive simulation steps per user over one of two programs.
-//! The report contains the median and 90th-percentile request latency plus
-//! the throughput in transactions per second — the exact columns of Table I.
+//! One function, [`run`], produces every client-side load of the repository,
+//! from the paper's Apache JMeter test (§IV-A, Table I) to a 10k-connection
+//! sweep.  A [`Load`] is `connections` keep-alive connections, a [`Pacing`]
+//! (closed loop, or a fixed aggregate rate) and a [`Mix`] of requests (the
+//! Table I [`Scenario`], or cached `GetState` or `Step` over warmed
+//! sessions).  All connections share the calling thread and one epoll
+//! instance, so a connection costs a file descriptor, not a thread.
 //!
-//! A `time_scale` factor shrinks the ramp-up and think times so the same
-//! scenario can run as a Criterion benchmark or a CI test in seconds instead
-//! of minutes; the *shape* of the results (queueing at high user counts,
-//! Docker overhead, gzip benefit) is unaffected because those effects come
-//! from the per-request work and the server's dispatch workers, not from
-//! the think time.
+//! Each request is timed from its first byte sent to the last byte of its
+//! answer; only the small answers the Table I script needs (`SessionCreated`,
+//! `Stepped`) are decoded.  A request fails on a non-200 status, an in-band
+//! error payload, a lost connection, no answer within [`READ_TIMEOUT`], or a
+//! refused (re)connect.  A connection the peer closes is reopened when its
+//! next request is due, so a dead front end keeps producing errors.
 //!
-//! All load goes over TCP to an `rvsim-net` front end: the scenario runs
-//! through [`run_load_test_tcp`], one keep-alive connection per user,
-//! exactly like a browser tab talking to the paper's Undertow deployment.
+//! `Scenario::time_scale` shrinks the paper's ramp-up and think time so the
+//! same script runs in seconds: the shape of the results (queueing at high
+//! user counts, Docker overhead, compression benefit) comes from the
+//! per-request work and the server's dispatch workers, not the think time.
 
 #![warn(missing_docs)]
 
 use polling::{Events, Interest, Poller};
-use rvsim_obs::Histogram;
-use rvsim_server::{is_error_payload, Request, Response};
+use rvsim_net::client::READ_TIMEOUT;
+use rvsim_server::{decode_response, is_error_payload, Request, Response};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Load-test scenario definition (the JMeter test plan).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Longest the event loop sleeps, so the end of the run and the timeout
+/// scan are never late by more than this.
+const MAX_WAIT: Duration = Duration::from_millis(50);
+
+/// How often in-flight requests are checked against [`READ_TIMEOUT`].
+const EXPIRY_SCAN: Duration = Duration::from_secs(1);
+
+/// The Table I user script (the JMeter test plan): create a session, then
+/// `steps_per_user` times step one cycle and fetch the state, thinking after
+/// each fetch, then destroy the session.  A user whose create fails stops.
+#[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Number of concurrent simulated users.
-    pub users: usize,
     /// Interactive simulation steps each user performs.
     pub steps_per_user: usize,
-    /// Ramp-up time over which users start (seconds, before scaling).
-    pub ramp_up_seconds: f64,
-    /// Think time between a user's requests (seconds, before scaling).
-    pub think_time_seconds: f64,
-    /// Programs users load (each user picks one round-robin).
+    /// Programs users load (user `i` loads `programs[i % programs.len()]`).
     pub programs: Vec<String>,
-    /// Scale factor applied to ramp-up and think times (1.0 = paper timing).
+    /// Scale factor applied to the paper's 4 s ramp-up and 1 s think time
+    /// (1.0 = paper timing).
     pub time_scale: f64,
-    /// Fetch the full processor snapshot after every step (the interactive
-    /// GUI behaviour; this is what makes JSON dominate request time).
-    pub fetch_state_each_step: bool,
     /// Use the delta protocol for state fetches: after the first snapshot,
-    /// ask for `GetStateDelta` against the last seen cycle instead of the
+    /// ask for `GetStateDelta` against the last fetched cycle instead of the
     /// full state (the bandwidth-saving client behaviour).
-    #[serde(default)]
     pub delta_state: bool,
 }
 
 impl Scenario {
-    /// The paper's scenario: `users` users, 40 steps each, 4 s ramp-up,
-    /// 1 s think time, two sample programs.
-    pub fn paper(users: usize) -> Self {
+    /// The paper's script: 40 steps per user, 4 s ramp-up, 1 s think time,
+    /// two sample programs.
+    pub fn paper() -> Self {
         Scenario {
-            users,
             steps_per_user: 40,
-            ramp_up_seconds: 4.0,
-            think_time_seconds: 1.0,
             programs: vec![sample_program_loop(), sample_program_memory()],
             time_scale: 1.0,
-            fetch_state_each_step: true,
             delta_state: false,
         }
     }
 
-    /// The paper's scenario compressed in time by `scale` (e.g. `0.01`).
-    pub fn paper_scaled(users: usize, scale: f64) -> Self {
-        Scenario { time_scale: scale, ..Self::paper(users) }
+    /// The paper's script compressed in time by `scale` (e.g. `0.01`).
+    pub fn paper_scaled(scale: f64) -> Self {
+        Scenario { time_scale: scale, ..Self::paper() }
     }
 
+    /// The Table I load: `users` closed-loop connections, each running this
+    /// script once.
+    pub fn load(&self, users: usize) -> Load {
+        Load {
+            connections: users,
+            pacing: Pacing::ClosedLoop,
+            mix: Mix::Scenario(self.clone()),
+            duration: Duration::MAX,
+        }
+    }
+
+    /// The paper's 4 s ramp-up, scaled: users start evenly spread over it.
     fn ramp_up(&self) -> Duration {
-        Duration::from_secs_f64((self.ramp_up_seconds * self.time_scale).max(0.0))
+        Duration::from_secs_f64((4.0 * self.time_scale).max(0.0))
     }
 
+    /// The paper's 1 s think time after each state fetch, scaled.
     fn think_time(&self) -> Duration {
-        Duration::from_secs_f64((self.think_time_seconds * self.time_scale).max(0.0))
+        Duration::from_secs_f64(self.time_scale.max(0.0))
+    }
+
+    /// Request `k` of `user`'s script, or `None` past its end or once its
+    /// create failed.
+    fn request(&self, user: usize, k: usize, conn: &Conn) -> Option<Request> {
+        if k == 0 {
+            let program = self.programs.get(user % self.programs.len().max(1))?.clone();
+            return Some(Request::CreateSession {
+                program,
+                architecture: None,
+                entry: None,
+                session: None,
+            });
+        }
+        let session = conn.session?;
+        let destroy = 2 * self.steps_per_user + 1;
+        Some(match k {
+            k if k > destroy => return None,
+            k if k == destroy => Request::DestroySession { session },
+            k if k % 2 == 1 => Request::Step { session, cycles: 1 },
+            // No base yet: ask for a delta against a cycle the server cannot
+            // have, receiving the full-snapshot fallback.
+            _ if self.delta_state => {
+                Request::GetStateDelta { session, since_cycle: conn.base.unwrap_or(u64::MAX) }
+            }
+            _ => Request::GetState { session },
+        })
     }
 }
 
@@ -123,205 +164,77 @@ loop:
     .to_string()
 }
 
-/// Result of one load-test run (one row of Table I).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LoadTestReport {
-    /// Number of users.
-    pub users: usize,
-    /// Completed transactions (requests).
-    pub transactions: u64,
-    /// Failed requests.
-    pub errors: u64,
-    /// Median request latency in milliseconds.
-    pub median_latency_ms: f64,
-    /// 90th-percentile request latency in milliseconds.
-    pub p90_latency_ms: f64,
-    /// 99th-percentile request latency in milliseconds (histogram estimate).
-    #[serde(default)]
-    pub p99_latency_ms: f64,
-    /// Maximum request latency in milliseconds.
-    #[serde(default)]
-    pub max_latency_ms: f64,
-    /// Mean request latency in milliseconds.
-    pub mean_latency_ms: f64,
-    /// Throughput in transactions per second.
-    pub throughput_tps: f64,
-    /// Wall-clock duration of the whole test in seconds.
-    pub duration_seconds: f64,
+/// When each connection sends its next request.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Pacing {
+    /// As soon as the previous request is answered.  Under a [`Scenario`]
+    /// the connections' starts are spread over the ramp-up and each waits
+    /// the think time after a state fetch.
+    ClosedLoop,
+    /// This many requests per second in aggregate, spread evenly over the
+    /// connections, with at most one in flight per connection: a slot that
+    /// finds its connection still waiting is skipped.
+    Rate(f64),
 }
 
-impl LoadTestReport {
-    /// Format the report as a Table-I-style row.
-    pub fn table_row(&self, label: &str) -> String {
-        format!(
-            "{label:<10} {:>5} users  median {:>8.2} ms  p90 {:>8.2} ms  p99 {:>8.2} ms  max {:>8.2} ms  throughput {:>7.2} trans/s  ({} transactions, {} errors)",
-            self.users, self.median_latency_ms, self.p90_latency_ms, self.p99_latency_ms, self.max_latency_ms, self.throughput_tps, self.transactions, self.errors
-        )
-    }
+/// What the connections ask for.
+#[derive(Debug, Clone)]
+pub enum Mix {
+    /// The Table I user script, once per connection.
+    Scenario(Scenario),
+    /// Cached `GetState` over these warmed sessions, dealt out to the
+    /// connections like cards: connection `c` sends its `k`-th request to
+    /// session `(c + k · connections) % sessions.len()`.
+    GetState(Vec<u64>),
+    /// `Step { cycles: 1 }` over these sessions, dealt out like
+    /// [`Mix::GetState`]'s.  Keeps every session's state advancing, which a
+    /// durability run needs.
+    Step(Vec<u64>),
 }
 
-/// Exact rank-selection percentile over a sorted sample.  The Table-I
-/// columns (median, p90) keep this exact form so the paper comparison and
-/// the committed benchmark baselines stay method-stable; the tail columns
-/// (p99, max) and the fan-out / high-connection paths come from the shared
-/// `rvsim-obs` histogram instead.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+/// One load for [`run`].
+#[derive(Debug, Clone)]
+pub struct Load {
+    /// Keep-alive connections (one per simulated user), clamped to the
+    /// process's [`fd_budget`].
+    pub connections: usize,
+    /// When each connection sends.
+    pub pacing: Pacing,
+    /// What each connection sends.
+    pub mix: Mix,
+    /// How long the load runs.  A [`Mix::Scenario`] load ends sooner, once
+    /// every user has run its script.
+    pub duration: Duration,
 }
 
-/// Run a scenario against the TCP/HTTP front end (`rvsim-net`) at `addr`.
-/// Every user owns one keep-alive connection, exactly like a browser tab
-/// talking to the paper's Undertow deployment.
-pub fn run_load_test_tcp(addr: SocketAddr, scenario: &Scenario) -> LoadTestReport {
-    let started = Instant::now();
-    let ramp_up = scenario.ramp_up();
-    let think = scenario.think_time();
-    let users = scenario.users.max(1);
-    // Every user thread records into one lock-free histogram; its exact
-    // count/sum/max back the report's transaction count, p99 and max.
-    let hist = Arc::new(Histogram::new());
-
-    let mut handles = Vec::with_capacity(users);
-    for user in 0..users {
-        let mut client = rvsim_net::TcpApiClient::new(addr);
-        let hist = Arc::clone(&hist);
-        let program = scenario.programs[user % scenario.programs.len().max(1)].clone();
-        let steps = scenario.steps_per_user;
-        let fetch_state = scenario.fetch_state_each_step;
-        let delta_state = scenario.delta_state;
-        let start_delay = if users > 1 {
-            ramp_up.mul_f64(user as f64 / (users - 1) as f64)
-        } else {
-            Duration::ZERO
-        };
-        handles.push(std::thread::spawn(move || {
-            let mut latencies = Vec::with_capacity(steps * 2 + 1);
-            let mut errors = 0u64;
-            std::thread::sleep(start_delay);
-
-            let mut timed_call = |request: &Request| -> Option<Response> {
-                let t0 = Instant::now();
-                let result = client.call(request);
-                let elapsed = t0.elapsed();
-                latencies.push(elapsed.as_secs_f64() * 1e3);
-                hist.record(elapsed.as_micros() as u64);
-                match result {
-                    Ok(response) if !response.is_error() => Some(response),
-                    _ => {
-                        errors += 1;
-                        None
-                    }
-                }
-            };
-
-            let session = match timed_call(&Request::CreateSession {
-                program,
-                architecture: None,
-                entry: None,
-                session: None,
-            }) {
-                Some(Response::SessionCreated { session }) => session,
-                _ => return (latencies, errors),
-            };
-            let mut seen_cycle: Option<u64> = None;
-            for _ in 0..steps {
-                timed_call(&Request::Step { session, cycles: 1 });
-                if fetch_state {
-                    let request = match (delta_state, seen_cycle) {
-                        (true, Some(since_cycle)) => {
-                            Request::GetStateDelta { session, since_cycle }
-                        }
-                        // First fetch in delta mode: ask for a delta against
-                        // a cycle the server cannot have, receiving the full
-                        // snapshot fallback (which also seeds the base).
-                        (true, None) => Request::GetStateDelta { session, since_cycle: u64::MAX },
-                        (false, _) => Request::GetState { session },
-                    };
-                    match timed_call(&request) {
-                        Some(Response::State(snapshot)) => seen_cycle = Some(snapshot.cycle),
-                        Some(Response::StateDelta(delta)) => seen_cycle = Some(delta.cycle),
-                        _ => seen_cycle = None,
-                    }
-                }
-                if !think.is_zero() {
-                    std::thread::sleep(think);
-                }
-            }
-            timed_call(&Request::DestroySession { session });
-            (latencies, errors)
-        }));
-    }
-
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut errors = 0u64;
-    for handle in handles {
-        let (user_latencies, user_errors) = handle.join().expect("load-test user thread panicked");
-        latencies.extend(user_latencies);
-        errors += user_errors;
-    }
-    let duration = started.elapsed().as_secs_f64();
-
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let transactions = latencies.len() as u64;
-    let snapshot = hist.snapshot();
-    LoadTestReport {
-        users: scenario.users,
-        transactions,
-        errors,
-        median_latency_ms: percentile(&latencies, 0.5),
-        p90_latency_ms: percentile(&latencies, 0.9),
-        p99_latency_ms: snapshot.p99_us() / 1e3,
-        max_latency_ms: snapshot.max_us() as f64 / 1e3,
-        mean_latency_ms: if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        },
-        throughput_tps: if duration > 0.0 { transactions as f64 / duration } else { 0.0 },
-        duration_seconds: duration,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cached-GetState fan-out: saturate one or many front ends from closed-loop
-// client threads (the multi-node scaling measurement).
-// ---------------------------------------------------------------------------
-
-/// Result of a [`run_cached_state_fanout`] or [`run_step_load`] run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FanoutReport {
-    /// Completed requests across all targets and threads.
+/// The result of one [`run`].
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct LoadReport {
+    /// Connections open when the clock started.
+    pub connections: usize,
+    /// Requests answered without error.
     pub requests: u64,
-    /// Failed requests (transport failures or protocol errors).
+    /// Failed requests (see the crate docs for what fails a request).
     pub errors: u64,
-    /// Errors bucketed by elapsed second since the run started.  Under a
-    /// fault-injection run this is the shape that matters: a burst in one
-    /// or two buckets followed by zeros means the breaker opened and
-    /// failover took over; errors smeared across every bucket mean it
-    /// did not.
-    #[serde(default)]
+    /// Errors by elapsed second of the run, zero-padded to its end: under
+    /// fault injection, a burst then zeros means failover took over.
     pub errors_by_second: Vec<u64>,
-    /// Wall-clock duration of the measurement in seconds.
+    /// Wall-clock duration of the run in seconds.
     pub wall_seconds: f64,
-    /// Median latency of successful requests in milliseconds (histogram
-    /// estimate).
-    #[serde(default)]
+    /// Median latency of the answered requests in milliseconds.
     pub median_latency_ms: f64,
-    /// 99th-percentile latency of successful requests in milliseconds
-    /// (histogram estimate).
-    #[serde(default)]
+    /// 90th-percentile latency in milliseconds.
+    pub p90_latency_ms: f64,
+    /// 99th-percentile latency in milliseconds.
     pub p99_latency_ms: f64,
-    /// Maximum latency of a successful request in milliseconds.
-    #[serde(default)]
+    /// Maximum latency in milliseconds.
     pub max_latency_ms: f64,
+    /// Mean latency in milliseconds.
+    pub mean_latency_ms: f64,
 }
 
-impl FanoutReport {
-    /// Aggregate throughput in requests per second.
+impl LoadReport {
+    /// Answered requests per second of the run.
     pub fn rps(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.requests as f64 / self.wall_seconds
@@ -340,559 +253,438 @@ impl FanoutReport {
             0.0
         }
     }
-}
 
-/// Record `count` errors in the per-second bucket for `elapsed`.
-fn bucket_errors(buckets: &mut Vec<u64>, started: Instant, count: u64) {
-    let second = started.elapsed().as_secs() as usize;
-    if buckets.len() <= second {
-        buckets.resize(second + 1, 0);
-    }
-    buckets[second] += count;
-}
-
-/// Merge per-thread second buckets into `total` element-wise.
-fn merge_buckets(total: &mut Vec<u64>, partial: &[u64]) {
-    if total.len() < partial.len() {
-        total.resize(partial.len(), 0);
-    }
-    for (sum, value) in total.iter_mut().zip(partial) {
-        *sum += value;
-    }
-}
-
-/// Pad the merged buckets with explicit zeros out to the full run length,
-/// so "the errors stopped" is visible in the data rather than implied by a
-/// short vector.
-fn pad_buckets(total: &mut Vec<u64>, started: Instant) {
-    let covered = started.elapsed().as_secs() as usize + 1;
-    if total.len() < covered {
-        total.resize(covered, 0);
-    }
-}
-
-/// Saturate the cached-`GetState` serve path across one or more front ends:
-/// `threads_per_target` closed-loop client threads per `(addr, sessions)`
-/// target, each looping `GetState` over the warmed session ids on its own
-/// keep-alive connection for `duration`.  The aggregate request count is the
-/// multi-node scaling metric: with sessions pinned per node, adding nodes
-/// multiplies the serve capacity.
-pub fn run_cached_state_fanout(
-    targets: &[(SocketAddr, Vec<u64>)],
-    threads_per_target: usize,
-    duration: Duration,
-) -> FanoutReport {
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let hist = Arc::new(Histogram::new());
-    let started = Instant::now();
-    let mut threads = Vec::new();
-    for &(addr, ref sessions) in targets {
-        for offset in 0..threads_per_target.max(1) {
-            let sessions = sessions.clone();
-            let stop = std::sync::Arc::clone(&stop);
-            let hist = Arc::clone(&hist);
-            threads.push(std::thread::spawn(move || -> (u64, u64, Vec<u64>) {
-                let mut client = rvsim_net::TcpApiClient::new(addr);
-                // Pre-encode one request body per session and stay on the
-                // wire: decoding every payload (LZSS + full snapshot JSON)
-                // would make the *client* the bottleneck on small hosts and
-                // mask the fleet's capacity — the very thing this measures.
-                let bodies: Vec<Vec<u8>> = sessions
-                    .iter()
-                    .map(|&session| {
-                        serde_json::to_vec(&Request::GetState { session })
-                            .expect("request serializes")
-                    })
-                    .collect();
-                let mut requests = 0u64;
-                let mut errors = 0u64;
-                let mut buckets: Vec<u64> = Vec::new();
-                let mut index = offset; // spread threads across the sessions
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    let body = &bodies[index % bodies.len().max(1)];
-                    index = index.wrapping_add(1);
-                    let t0 = Instant::now();
-                    match client.call_raw(body) {
-                        Ok(payload) if !is_error_payload(&payload) => {
-                            requests += 1;
-                            hist.record(t0.elapsed().as_micros() as u64);
-                        }
-                        _ => {
-                            errors += 1;
-                            bucket_errors(&mut buckets, started, 1);
-                        }
-                    }
-                }
-                (requests, errors, buckets)
-            }));
-        }
-    }
-    std::thread::sleep(duration);
-    stop.store(true, std::sync::atomic::Ordering::Release);
-    let mut requests = 0u64;
-    let mut errors = 0u64;
-    let mut errors_by_second: Vec<u64> = Vec::new();
-    for thread in threads {
-        let (r, e, buckets) = thread.join().expect("fan-out client thread panicked");
-        requests += r;
-        errors += e;
-        merge_buckets(&mut errors_by_second, &buckets);
-    }
-    pad_buckets(&mut errors_by_second, started);
-    let snapshot = hist.snapshot();
-    FanoutReport {
-        requests,
-        errors,
-        errors_by_second,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        median_latency_ms: snapshot.p50_us() / 1e3,
-        p99_latency_ms: snapshot.p99_us() / 1e3,
-        max_latency_ms: snapshot.max_us() as f64 / 1e3,
-    }
-}
-
-/// Closed-loop *stepping* load: `threads` clients round-robin
-/// `Step {{ cycles: 1 }}` over the warmed `sessions` at `addr` for
-/// `duration`.  Unlike the cached-`GetState` fan-out this load keeps every
-/// session's state advancing, which is what a durability run needs: a
-/// checkpointed session that failed over to another backend must keep
-/// serving *and progressing*, and an error burst in
-/// [`FanoutReport::errors_by_second`] shows exactly when clients felt the
-/// crash.
-pub fn run_step_load(
-    addr: SocketAddr,
-    sessions: &[u64],
-    threads: usize,
-    duration: Duration,
-) -> FanoutReport {
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let hist = Arc::new(Histogram::new());
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for offset in 0..threads.max(1) {
-        let sessions = sessions.to_vec();
-        let stop = std::sync::Arc::clone(&stop);
-        let hist = Arc::clone(&hist);
-        handles.push(std::thread::spawn(move || -> (u64, u64, Vec<u64>) {
-            let mut client = rvsim_net::TcpApiClient::new(addr);
-            let mut requests = 0u64;
-            let mut errors = 0u64;
-            let mut buckets: Vec<u64> = Vec::new();
-            let mut index = offset;
-            while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                let session = sessions[index % sessions.len().max(1)];
-                index = index.wrapping_add(1);
-                let t0 = Instant::now();
-                match client.call(&Request::Step { session, cycles: 1 }) {
-                    Ok(response) if !response.is_error() => {
-                        requests += 1;
-                        hist.record(t0.elapsed().as_micros() as u64);
-                    }
-                    _ => {
-                        errors += 1;
-                        bucket_errors(&mut buckets, started, 1);
-                    }
-                }
-            }
-            (requests, errors, buckets)
-        }));
-    }
-    std::thread::sleep(duration);
-    stop.store(true, std::sync::atomic::Ordering::Release);
-    let mut requests = 0u64;
-    let mut errors = 0u64;
-    let mut errors_by_second: Vec<u64> = Vec::new();
-    for handle in handles {
-        let (r, e, buckets) = handle.join().expect("step-load client thread panicked");
-        requests += r;
-        errors += e;
-        merge_buckets(&mut errors_by_second, &buckets);
-    }
-    pad_buckets(&mut errors_by_second, started);
-    let snapshot = hist.snapshot();
-    FanoutReport {
-        requests,
-        errors,
-        errors_by_second,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        median_latency_ms: snapshot.p50_us() / 1e3,
-        p99_latency_ms: snapshot.p99_us() / 1e3,
-        max_latency_ms: snapshot.max_us() as f64 / 1e3,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// High-connection sweep: one event loop holding thousands of keep-alive
-// connections.
-// ---------------------------------------------------------------------------
-
-/// Options of the high-connection sweep ([`run_high_connection_test`]).
-#[derive(Debug, Clone)]
-pub struct HighConnectionOptions {
-    /// Keep-alive connections to hold open (clamped to the process's fd
-    /// budget; the report records both requested and achieved).
-    pub connections: usize,
-    /// Aggregate request rate paced across all connections, in requests per
-    /// second.  Held constant across sweep points so latency differences
-    /// come from the connection count alone.
-    pub target_rps: f64,
-    /// Warm-up period whose latencies are discarded.
-    pub warmup: Duration,
-    /// Measurement window after warm-up.
-    pub duration: Duration,
-    /// Simulation sessions the connections share.  Small on purpose: most
-    /// requests hit an unchanged cycle, exercising the server's shared
-    /// cached-`GetState` path under connection pressure.
-    pub sessions: usize,
-}
-
-impl Default for HighConnectionOptions {
-    fn default() -> Self {
-        HighConnectionOptions {
-            connections: 10_000,
-            target_rps: 2_000.0,
-            warmup: Duration::from_millis(500),
-            duration: Duration::from_secs(3),
-            sessions: 8,
-        }
-    }
-}
-
-/// Result of one high-connection sweep point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HighConnectionReport {
-    /// Connections requested by the options.
-    pub requested_connections: usize,
-    /// Connections actually opened and held (fd budget and connect errors
-    /// can clamp the requested count).
-    pub connections: usize,
-    /// Paced aggregate request rate (requests per second).
-    pub target_rps: f64,
-    /// Achieved request rate over the measurement window.
-    pub achieved_rps: f64,
-    /// Completed requests inside the measurement window.
-    pub transactions: u64,
-    /// Failed requests or connections over the whole run.
-    pub errors: u64,
-    /// Median request latency in milliseconds.
-    pub median_latency_ms: f64,
-    /// 90th-percentile request latency in milliseconds.
-    pub p90_latency_ms: f64,
-    /// 99th-percentile request latency in milliseconds.
-    pub p99_latency_ms: f64,
-    /// Maximum request latency in milliseconds.
-    pub max_latency_ms: f64,
-    /// Measurement-window duration in seconds.
-    pub duration_seconds: f64,
-}
-
-impl HighConnectionReport {
-    /// Format the report as a table row.
-    pub fn table_row(&self) -> String {
+    /// Format the report as a Table-I-style row.
+    pub fn table_row(&self, label: &str) -> String {
         format!(
-            "{:>6} conns  target {:>7.0} rps  achieved {:>7.0} rps  median {:>7.3} ms  p90 {:>7.3} ms  p99 {:>7.3} ms  ({} transactions, {} errors)",
+            "{label:<12} {:>6} conns  median {:>8.3} ms  p90 {:>8.3} ms  p99 {:>8.3} ms  max {:>8.3} ms  {:>9.1} req/s  ({} requests, {} errors)",
             self.connections,
-            self.target_rps,
-            self.achieved_rps,
             self.median_latency_ms,
             self.p90_latency_ms,
             self.p99_latency_ms,
-            self.transactions,
+            self.max_latency_ms,
+            self.rps(),
+            self.requests,
             self.errors
         )
     }
 }
 
+/// Exact rank-selection percentile over an ascending sample (`0.0` when
+/// the sample is empty).  Exact because an `rvsim-obs` log2 histogram's
+/// factor-of-two bound is too coarse for the Table I p90.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
+}
+
 /// The process's open-file-descriptor budget (the `RLIMIT_NOFILE` soft
-/// limit).  The sweep clamps its connection count to this; callers use it
-/// to decide whether client *and* server sockets fit one process or the
-/// server must run in a separate process.
+/// limit), which [`run`] clamps its connection count to.
 pub fn fd_budget() -> usize {
     polling::open_file_limit().map(|l| l as usize).unwrap_or(1024)
 }
 
-/// One connection of the high-connection sweep.
-struct SweepConn {
-    stream: TcpStream,
-    /// Prebuilt keep-alive request (head + body), reused verbatim.
-    request: Vec<u8>,
-    /// Unwritten tail of the current request.
-    out_pos: usize,
-    /// Request bytes are (partially) unsent.
-    sending: bool,
-    /// Response accumulation buffer.
-    buf: Vec<u8>,
-    /// Send timestamp of the in-flight request.
-    in_flight_since: Option<Instant>,
-    /// The connection is dead (error / closed by peer).
-    dead: bool,
-}
-
-/// Parse `content-length` out of a response head (the sweep only talks to
-/// rvsim-net, which always sends it).
-fn response_content_length(head: &[u8]) -> Option<usize> {
-    for line in head.split(|&b| b == b'\n') {
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        let Some(colon) = line.iter().position(|&b| b == b':') else { continue };
-        if line[..colon].eq_ignore_ascii_case(b"content-length") {
-            return std::str::from_utf8(&line[colon + 1..]).ok()?.trim().parse().ok();
-        }
-    }
-    None
-}
-
-/// Whether `buf` holds one complete response; returns its total length.
-fn complete_response_len(buf: &[u8]) -> Option<usize> {
-    let head_end = rvsim_net::find_head_end(buf)?;
-    let body = response_content_length(&buf[..head_end])?;
-    (buf.len() >= head_end + body).then_some(head_end + body)
-}
-
-/// Hold `options.connections` keep-alive connections open against the front
-/// end at `addr` while pacing `options.target_rps` aggregate `GetState`
-/// requests across them from a single event-driven thread (mirroring the
-/// server's own event loop, and costing one fd — not one thread — per
-/// connection, which is what makes a 10k-user sweep possible at all).
-///
-/// Run the same options with different `connections` values to draw the
-/// latency-vs-connections curve: on a healthy event-loop front end it is
-/// flat, because idle keep-alive connections cost a slab slot and an epoll
-/// registration rather than a parked worker thread.
-pub fn run_high_connection_test(
+/// Create one session on `program` at `addr` per entry of `ids` (`None`
+/// lets the server assign the id), stepping each 8 cycles so its snapshots
+/// hold in-flight state.  Returns the session ids in order.
+pub fn create_sessions(
     addr: SocketAddr,
-    options: &HighConnectionOptions,
-) -> Result<HighConnectionReport, String> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    use std::io::{Read, Write};
-
-    // Clamp to the fd budget: the process needs one fd per connection plus
-    // slack for the poller, the session client and stdio.
-    let budget = fd_budget();
-    let target_connections = options.connections.clamp(1, budget.saturating_sub(64).max(1));
-
-    // A few shared sessions, each stepped once so the served state is
-    // non-trivial; every sweep request afterwards hits an unchanged cycle.
-    let mut setup = rvsim_net::TcpApiClient::new(addr);
-    let mut sessions = Vec::new();
-    for _ in 0..options.sessions.max(1) {
-        match setup
-            .call(&Request::CreateSession {
-                program: sample_program_loop(),
+    program: &str,
+    ids: impl IntoIterator<Item = Option<u64>>,
+) -> Result<Vec<u64>, String> {
+    let mut client = rvsim_net::TcpApiClient::new(addr);
+    ids.into_iter()
+        .map(|id| {
+            let session = match client.call(&Request::CreateSession {
+                program: program.to_string(),
                 architecture: None,
                 entry: None,
-                session: None,
-            })
-            .map_err(|e| format!("session setup failed: {e}"))?
-        {
-            Response::SessionCreated { session } => {
-                setup
-                    .call(&Request::Step { session, cycles: 8 })
-                    .map_err(|e| format!("session warm-up failed: {e}"))?;
-                sessions.push(session);
+                session: id,
+            })? {
+                Response::SessionCreated { session } if id.is_none_or(|id| id == session) => {
+                    session
+                }
+                other => return Err(format!("unexpected create response {other:?}")),
+            };
+            match client.call(&Request::Step { session, cycles: 8 })? {
+                Response::Stepped { .. } => Ok(session),
+                other => Err(format!("unexpected step response {other:?}")),
             }
-            other => return Err(format!("unexpected setup response {other:?}")),
+        })
+        .collect()
+}
+
+/// Drive `load` against the front end at `addr` from the calling thread and
+/// report it.  Every connection is opened before the clock starts.
+pub fn run(addr: SocketAddr, load: &Load) -> LoadReport {
+    let Ok(poller) = Poller::new() else {
+        return LoadReport { errors: 1, errors_by_second: vec![1], ..LoadReport::default() };
+    };
+    let connections = load.connections.clamp(1, fd_budget().saturating_sub(64).max(1));
+    let mut runner = Runner {
+        addr,
+        mix: &load.mix,
+        period: match load.pacing {
+            Pacing::ClosedLoop => None,
+            Pacing::Rate(rps) => Some(Duration::from_secs_f64(connections as f64 / rps.max(1.0))),
+        },
+        poller,
+        conns: (0..connections).map(|_| Conn::default()).collect(),
+        due: BinaryHeap::with_capacity(connections),
+        started: Instant::now(),
+        latencies_ms: Vec::new(),
+        errors_by_second: Vec::new(),
+    };
+    for c in 0..connections {
+        // A connection that cannot open now is retried when its first
+        // request is due, and fails that request if it still cannot.
+        runner.open(c);
+    }
+    let held = runner.conns.iter().filter(|conn| conn.stream.is_some()).count();
+    runner.drive(load.duration);
+    runner.report(held)
+}
+
+/// A keep-alive `POST /api` request carrying `request`.
+fn frame(request: &Request) -> Vec<u8> {
+    let body = serde_json::to_vec(request).expect("requests serialize");
+    let mut out =
+        format!("POST /api HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len()).into_bytes();
+    out.extend_from_slice(&body);
+    out
+}
+
+/// One connection of a run.
+#[derive(Default)]
+struct Conn {
+    stream: Option<TcpStream>,
+    /// The request being sent, and how much of it is written.
+    out: Vec<u8>,
+    written: usize,
+    /// The socket buffer was full: waiting for writability.
+    want_write: bool,
+    /// Response bytes received so far.
+    inbuf: Vec<u8>,
+    /// When the request in flight started sending.
+    sent_at: Option<Instant>,
+    /// Requests started so far: the connection's position in the mix.
+    started: usize,
+    /// Table I script state: the user's session, the cycle its last step
+    /// reached, and the cycle of the last state it fetched (the delta base).
+    session: Option<u64>,
+    stepped: Option<u64>,
+    base: Option<u64>,
+}
+
+/// The state of one [`run`].
+struct Runner<'a> {
+    addr: SocketAddr,
+    mix: &'a Mix,
+    /// Interval between one connection's slots under rate pacing; `None`
+    /// under closed-loop pacing.
+    period: Option<Duration>,
+    poller: Poller,
+    conns: Vec<Conn>,
+    /// When each connection's next request is due: one entry per connection
+    /// whose mix has requests left, except a closed-loop connection with a
+    /// request in flight.
+    due: BinaryHeap<Reverse<(Instant, usize)>>,
+    started: Instant,
+    latencies_ms: Vec<f64>,
+    errors_by_second: Vec<u64>,
+}
+
+impl Runner<'_> {
+    /// Open connection `c`; `false` when the front end refuses it.
+    fn open(&mut self, c: usize) -> bool {
+        let Ok(stream) = TcpStream::connect(self.addr) else { return false };
+        let _ = stream.set_nodelay(true);
+        if stream.set_nonblocking(true).is_err()
+            || self.poller.register(stream.as_raw_fd(), c, Interest::READABLE).is_err()
+        {
+            return false;
+        }
+        self.conns[c].stream = Some(stream);
+        true
+    }
+
+    /// Run the event loop until every mix is exhausted or `duration` ends.
+    fn drive(&mut self, duration: Duration) {
+        self.started = Instant::now();
+        let end = self.started.checked_add(duration);
+        let n = self.conns.len();
+        let ramp_up = match self.mix {
+            Mix::Scenario(scenario) if self.period.is_none() => scenario.ramp_up(),
+            _ => Duration::ZERO,
+        };
+        for c in 0..n {
+            let offset = match self.period {
+                Some(period) => period.mul_f64(c as f64 / n as f64),
+                None if n > 1 => ramp_up.mul_f64(c as f64 / (n - 1) as f64),
+                None => Duration::ZERO,
+            };
+            self.due.push(Reverse((self.started + offset, c)));
+        }
+
+        let mut events = Events::with_capacity(1024);
+        let mut ready = Vec::new();
+        let mut next_expiry = self.started + EXPIRY_SCAN;
+        while !self.due.is_empty() || self.conns.iter().any(|conn| conn.sent_at.is_some()) {
+            let now = Instant::now();
+            if end.is_some_and(|end| now >= end) {
+                break;
+            }
+            let mut timeout = MAX_WAIT;
+            if let Some(&Reverse((when, _))) = self.due.peek() {
+                timeout = timeout.min(when.saturating_duration_since(now));
+            }
+            if let Some(end) = end {
+                timeout = timeout.min(end.saturating_duration_since(now));
+            }
+            let _ = self.poller.wait(&mut events, Some(timeout));
+            for event in events.iter() {
+                self.on_event(event.token);
+            }
+
+            // Take the due slots first: a closed-loop request that fails at
+            // once is due again at once, and waits for the next round.
+            let now = Instant::now();
+            while let Some(&Reverse((when, c))) = self.due.peek() {
+                if when > now {
+                    break;
+                }
+                self.due.pop();
+                ready.push((when, c));
+            }
+            for (slot, c) in ready.drain(..) {
+                self.send(c, slot, now);
+            }
+            if now >= next_expiry {
+                self.expire(now);
+                next_expiry = now + EXPIRY_SCAN;
+            }
         }
     }
 
-    let poller = Poller::new().map_err(|e| format!("poller: {e}"))?;
-    let mut errors = 0u64;
-    let mut conns: Vec<SweepConn> = Vec::with_capacity(target_connections);
-    for i in 0..target_connections {
-        let stream = match TcpStream::connect(addr) {
-            Ok(stream) => stream,
-            Err(_) => {
-                // The front end (or the fd budget) said no: hold what we got.
-                errors += 1;
-                break;
+    /// The request connection `c` sends next, or `None` when its mix is
+    /// exhausted.
+    fn next_request(&self, c: usize) -> Option<Request> {
+        let conn = &self.conns[c];
+        let dealt = |sessions: &[u64]| {
+            let k = conn.started;
+            (!sessions.is_empty()).then(|| sessions[(c + k * self.conns.len()) % sessions.len()])
+        };
+        match self.mix {
+            Mix::Scenario(scenario) => scenario.request(c, conn.started, conn),
+            Mix::GetState(sessions) => Some(Request::GetState { session: dealt(sessions)? }),
+            Mix::Step(sessions) => Some(Request::Step { session: dealt(sessions)?, cycles: 1 }),
+        }
+    }
+
+    /// Start connection `c`'s request due at `slot`, reopening the
+    /// connection first if the peer closed it.
+    fn send(&mut self, c: usize, slot: Instant, now: Instant) {
+        if self.conns[c].sent_at.is_some() {
+            // Only under rate pacing: the previous request is still out, so
+            // this slot slips rather than pipelining.
+            if let Some(period) = self.period {
+                self.due.push(Reverse((now + period, c)));
+            }
+            return;
+        }
+        let Some(request) = self.next_request(c) else { return };
+        if let Some(period) = self.period {
+            self.due.push(Reverse((slot + period, c)));
+        }
+        self.conns[c].started += 1;
+        if self.conns[c].stream.is_none() && !self.open(c) {
+            // A refused reopen fails the request it was opened for.
+            self.finish(c, None, now);
+            return;
+        }
+        let conn = &mut self.conns[c];
+        conn.out = frame(&request);
+        conn.written = 0;
+        conn.sent_at = Some(now);
+        self.flush(c);
+    }
+
+    /// Write what is left of connection `c`'s request, waiting for
+    /// writability when the socket buffer is full.
+    fn flush(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
+        let Some(stream) = conn.stream.as_mut() else { return };
+        let fd = stream.as_raw_fd();
+        while conn.written < conn.out.len() {
+            match stream.write(&conn.out[conn.written..]) {
+                Ok(n) if n > 0 => conn.written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if !conn.want_write {
+                        conn.want_write = true;
+                        let _ = self.poller.reregister(fd, c, Interest::BOTH);
+                    }
+                    return;
+                }
+                _ => return self.drop_connection(c, Instant::now()),
+            }
+        }
+        if conn.want_write {
+            conn.want_write = false;
+            let _ = self.poller.reregister(fd, c, Interest::READABLE);
+        }
+    }
+
+    /// Handle readiness of connection `c`: finish a partial write, then read
+    /// and account a complete answer.
+    fn on_event(&mut self, c: usize) {
+        if self.conns[c].want_write {
+            self.flush(c);
+        }
+        let conn = &mut self.conns[c];
+        let Some(stream) = conn.stream.as_mut() else { return };
+        let mut chunk = [0u8; 16 * 1024];
+        let mut open = loop {
+            match stream.read(&mut chunk) {
+                Ok(0) => break false,
+                Ok(n) => conn.inbuf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break e.kind() == ErrorKind::WouldBlock,
             }
         };
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
-            errors += 1;
-            continue;
-        }
-        let body = serde_json::to_vec(&Request::GetState { session: sessions[i % sessions.len()] })
-            .expect("requests serialize");
-        let mut request =
-            format!("POST /api HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len()).into_bytes();
-        request.extend_from_slice(&body);
-        poller
-            .register(stream.as_raw_fd(), i, Interest::READABLE)
-            .map_err(|e| format!("register: {e}"))?;
-        conns.push(SweepConn {
-            stream,
-            request,
-            out_pos: 0,
-            sending: false,
-            buf: Vec::new(),
-            in_flight_since: None,
-            dead: false,
-        });
-    }
-    if conns.is_empty() {
-        return Err("no connections could be opened".to_string());
-    }
-    let achieved_connections = conns.len();
-
-    // Pace: each connection fires every `connections / target_rps` seconds,
-    // phase-shifted so the aggregate arrival process is smooth.
-    let period = Duration::from_secs_f64(achieved_connections as f64 / options.target_rps.max(1.0));
-    let started = Instant::now();
-    let warmup_end = started + options.warmup;
-    let end = warmup_end + options.duration;
-    let mut due: BinaryHeap<Reverse<(Instant, usize)>> = (0..achieved_connections)
-        .map(|i| {
-            Reverse((started + Duration::from_secs_f64(i as f64 / options.target_rps.max(1.0)), i))
-        })
-        .collect();
-
-    let hist = Histogram::new();
-    let mut events = Events::with_capacity(1024);
-    let mut scratch: Vec<usize> = Vec::new();
-    let mut read_chunk = [0u8; 16 * 1024];
-
-    while Instant::now() < end {
         let now = Instant::now();
-        let timeout = due
-            .peek()
-            .map(|Reverse((t, _))| t.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(10))
-            .min(end.saturating_duration_since(now))
-            .min(Duration::from_millis(50));
-        let _ = poller.wait(&mut events, Some(timeout));
-
-        scratch.clear();
-        scratch.extend(events.iter().map(|e| e.token));
-        for &token in &scratch {
-            let conn = &mut conns[token];
-            if conn.dead {
-                continue;
-            }
-            // Flush a partially written request first.
-            if conn.sending {
-                match conn.stream.write(&conn.request[conn.out_pos..]) {
-                    Ok(n) => {
-                        conn.out_pos += n;
-                        if conn.out_pos == conn.request.len() {
-                            conn.sending = false;
-                            let _ = poller.reregister(
-                                conn.stream.as_raw_fd(),
-                                token,
-                                Interest::READABLE,
-                            );
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(_) => {
-                        conn.dead = true;
-                        errors += 1;
-                        let _ = poller.deregister(conn.stream.as_raw_fd());
-                        continue;
-                    }
+        match rvsim_net::parse_response_head(&conn.inbuf) {
+            Ok(Some(head)) if conn.inbuf.len() >= head.head_len + head.content_length => {
+                // One request in flight: nothing follows its answer.
+                let inbuf = std::mem::take(&mut conn.inbuf);
+                if conn.sent_at.is_some() {
+                    let payload = &inbuf[head.head_len..head.head_len + head.content_length];
+                    let ok = head.status == 200 && !is_error_payload(payload);
+                    self.finish(c, ok.then_some(payload), now);
                 }
+                self.conns[c].inbuf = inbuf;
+                self.conns[c].inbuf.clear();
             }
-            // Drain whatever the server sent.
-            loop {
-                match conn.stream.read(&mut read_chunk) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        if conn.in_flight_since.is_some() {
-                            errors += 1;
-                        }
-                        let _ = poller.deregister(conn.stream.as_raw_fd());
-                        break;
-                    }
-                    Ok(n) => conn.buf.extend_from_slice(&read_chunk[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        errors += 1;
-                        let _ = poller.deregister(conn.stream.as_raw_fd());
-                        break;
-                    }
-                }
-            }
-            if let Some(total) = complete_response_len(&conn.buf) {
-                conn.buf.drain(..total);
-                if let Some(sent_at) = conn.in_flight_since.take() {
-                    let finished = Instant::now();
-                    if sent_at >= warmup_end && finished <= end {
-                        hist.record(finished.duration_since(sent_at).as_micros() as u64);
-                    }
-                }
-            }
+            Ok(_) => {}
+            // An answer that cannot be framed leaves the connection unusable.
+            Err(_) => open = false,
         }
-
-        // Fire every connection whose pacing slot has arrived.
-        let now = Instant::now();
-        while let Some(&Reverse((when, token))) = due.peek() {
-            if when > now {
-                break;
-            }
-            due.pop();
-            let conn = &mut conns[token];
-            if conn.dead {
-                continue; // dead connections leave the pacing wheel
-            }
-            if conn.in_flight_since.is_some() || conn.sending {
-                // Previous request still outstanding: slip this slot rather
-                // than pipelining (one in flight per connection keeps the
-                // latency attribution clean).
-                due.push(Reverse((now + period, token)));
-                continue;
-            }
-            conn.in_flight_since = Some(now);
-            conn.out_pos = 0;
-            match conn.stream.write(&conn.request) {
-                Ok(n) if n == conn.request.len() => {}
-                Ok(n) => {
-                    conn.out_pos = n;
-                    conn.sending = true;
-                    let _ = poller.reregister(conn.stream.as_raw_fd(), token, Interest::BOTH);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    conn.sending = true;
-                    let _ = poller.reregister(conn.stream.as_raw_fd(), token, Interest::BOTH);
-                }
-                Err(_) => {
-                    conn.dead = true;
-                    errors += 1;
-                    let _ = poller.deregister(conn.stream.as_raw_fd());
-                    continue;
-                }
-            }
-            due.push(Reverse((when + period, token)));
+        if !open {
+            self.drop_connection(c, now);
         }
     }
 
-    for session in sessions {
-        let _ = setup.call(&Request::DestroySession { session });
+    /// Close connection `c` until its next request is due; a request in
+    /// flight on it fails.
+    fn drop_connection(&mut self, c: usize, now: Instant) {
+        let conn = &mut self.conns[c];
+        if let Some(stream) = conn.stream.take() {
+            let _ = self.poller.deregister(stream.as_raw_fd());
+        }
+        conn.inbuf.clear();
+        conn.want_write = false;
+        if conn.sent_at.is_some() {
+            self.finish(c, None, now);
+        }
     }
 
-    let snapshot = hist.snapshot();
-    let transactions = snapshot.count();
-    let duration = options.duration.as_secs_f64();
-    Ok(HighConnectionReport {
-        requested_connections: options.connections,
-        connections: achieved_connections,
-        target_rps: options.target_rps,
-        achieved_rps: if duration > 0.0 { transactions as f64 / duration } else { 0.0 },
-        transactions,
-        errors,
-        median_latency_ms: snapshot.p50_us() / 1e3,
-        p90_latency_ms: snapshot.p90_us() / 1e3,
-        p99_latency_ms: snapshot.p99_us() / 1e3,
-        max_latency_ms: snapshot.max_us() as f64 / 1e3,
-        duration_seconds: duration,
-    })
+    /// Fail every request unanswered for [`READ_TIMEOUT`], as the blocking
+    /// client's read timeout would.
+    fn expire(&mut self, now: Instant) {
+        for c in 0..self.conns.len() {
+            if self.conns[c].sent_at.is_some_and(|sent_at| now - sent_at >= READ_TIMEOUT) {
+                self.drop_connection(c, now);
+            }
+        }
+    }
+
+    /// Account connection `c`'s request: `answer` is the payload of a
+    /// successful answer, `None` a failure.  Under closed-loop pacing this
+    /// also schedules the connection's next request.
+    fn finish(&mut self, c: usize, answer: Option<&[u8]>, now: Instant) {
+        let conn = &mut self.conns[c];
+        conn.out.clear();
+        conn.written = 0;
+        match (answer, conn.sent_at.take()) {
+            (Some(_), Some(sent_at)) => {
+                self.latencies_ms.push((now - sent_at).as_secs_f64() * 1e3);
+            }
+            _ => {
+                let second = (now - self.started).as_secs() as usize;
+                if self.errors_by_second.len() <= second {
+                    self.errors_by_second.resize(second + 1, 0);
+                }
+                self.errors_by_second[second] += 1;
+            }
+        }
+        let pause = self.advance_script(c, answer);
+        if self.period.is_none() {
+            self.due.push(Reverse((now + pause, c)));
+        }
+    }
+
+    /// Record what the Table I script needs from the answer to connection
+    /// `c`'s last request, and return the pause before its next one.
+    fn advance_script(&mut self, c: usize, answer: Option<&[u8]>) -> Duration {
+        let Mix::Scenario(scenario) = self.mix else { return Duration::ZERO };
+        let conn = &mut self.conns[c];
+        let decoded = || answer.and_then(|payload| decode_response(payload).ok());
+        match conn.started - 1 {
+            0 => {
+                conn.session = match decoded() {
+                    Some(Response::SessionCreated { session }) => Some(session),
+                    _ => None,
+                };
+            }
+            k if k > 2 * scenario.steps_per_user => {}
+            k if k % 2 == 1 => {
+                if scenario.delta_state {
+                    conn.stepped = match decoded() {
+                        Some(Response::Stepped { cycle, .. }) => Some(cycle),
+                        _ => None,
+                    };
+                }
+            }
+            _ => {
+                conn.base = answer.and(conn.stepped);
+                return scenario.think_time();
+            }
+        }
+        Duration::ZERO
+    }
+
+    fn report(self, connections: usize) -> LoadReport {
+        let wall = self.started.elapsed();
+        let mut errors_by_second = self.errors_by_second;
+        let seconds = wall.as_secs() as usize + 1;
+        if errors_by_second.len() < seconds {
+            errors_by_second.resize(seconds, 0);
+        }
+        let mut latencies = self.latencies_ms;
+        latencies.sort_by(f64::total_cmp);
+        LoadReport {
+            connections,
+            requests: latencies.len() as u64,
+            errors: errors_by_second.iter().sum(),
+            errors_by_second,
+            wall_seconds: wall.as_secs_f64(),
+            median_latency_ms: percentile(&latencies, 0.5),
+            p90_latency_ms: percentile(&latencies, 0.9),
+            p99_latency_ms: percentile(&latencies, 0.99),
+            max_latency_ms: latencies.last().copied().unwrap_or(0.0),
+            mean_latency_ms: latencies.iter().sum::<f64>() / latencies.len().max(1) as f64,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rvsim_server::{DeploymentConfig, DeploymentMode, SimulationServer};
+    use std::sync::atomic::Ordering;
 
     /// A loopback front end (4 dispatch workers) over a fresh direct-mode
     /// server, or `None` when the sandbox forbids loopback sockets.
@@ -909,27 +701,25 @@ mod tests {
         started.map_err(|e| eprintln!("skipping loopback test: {e}")).ok()
     }
 
-    /// Create `count` sessions on the sample loop program, each stepped
-    /// `warm` cycles.
-    fn sessions(addr: SocketAddr, count: usize, warm: u64) -> Vec<u64> {
-        let mut setup = rvsim_net::TcpApiClient::new(addr);
-        (0..count)
-            .map(|_| {
-                let created = setup.call(&Request::CreateSession {
-                    program: sample_program_loop(),
-                    architecture: None,
-                    entry: None,
-                    session: None,
-                });
-                let Ok(Response::SessionCreated { session }) = created else {
-                    panic!("unexpected {created:?}");
-                };
-                if warm > 0 {
-                    setup.call(&Request::Step { session, cycles: warm }).unwrap();
-                }
-                session
-            })
-            .collect()
+    /// `count` warmed sessions on the sample loop program.
+    fn sessions(addr: SocketAddr, count: usize) -> Vec<u64> {
+        create_sessions(addr, &sample_program_loop(), std::iter::repeat_n(None, count)).unwrap()
+    }
+
+    /// A load of `connections` over `mix` for `millis` milliseconds.
+    fn load(connections: usize, pacing: Pacing, mix: Mix, millis: u64) -> Load {
+        Load { connections, pacing, mix, duration: Duration::from_millis(millis) }
+    }
+
+    /// Block until the front end has served more than `requests` requests
+    /// (at most 10 s, so a stalled load fails its assertions, not the run).
+    fn wait_until_served(net: &rvsim_net::NetServer, requests: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while net.stats().requests_served.load(Ordering::Relaxed) <= requests
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]
@@ -944,55 +734,55 @@ mod tests {
 
     #[test]
     fn scenario_constructors_match_paper_parameters() {
-        let s = Scenario::paper(30);
-        assert_eq!(s.users, 30);
+        let s = Scenario::paper();
         assert_eq!(s.steps_per_user, 40);
-        assert_eq!(s.ramp_up_seconds, 4.0);
-        assert_eq!(s.think_time_seconds, 1.0);
+        assert_eq!(s.ramp_up(), Duration::from_secs(4));
+        assert_eq!(s.think_time(), Duration::from_secs(1));
         assert_eq!(s.programs.len(), 2);
-        let scaled = Scenario::paper_scaled(100, 0.01);
-        assert_eq!(scaled.users, 100);
+        let load = Scenario::paper_scaled(0.01).load(100);
+        assert_eq!(load.connections, 100);
+        assert_eq!(load.pacing, Pacing::ClosedLoop);
+        let Mix::Scenario(scaled) = &load.mix else { panic!("a scenario load runs the script") };
         assert!(scaled.ramp_up() < Duration::from_millis(100));
     }
 
     #[test]
     fn small_load_test_produces_sane_report() {
         let Some(net) = front_end(true) else { return };
-        let mut scenario = Scenario::paper_scaled(4, 0.0);
+        let mut scenario = Scenario::paper_scaled(0.0);
         scenario.steps_per_user = 5;
-        let report = run_load_test_tcp(net.local_addr(), &scenario);
+        let report = run(net.local_addr(), &scenario.load(4));
         // 4 users × (1 create + 5 × (step + state) + 1 destroy) = 48 requests.
-        assert_eq!(report.transactions, 48);
+        assert_eq!(report.requests, 48);
         assert_eq!(report.errors, 0);
         assert!(report.median_latency_ms >= 0.0);
         assert!(report.p90_latency_ms >= report.median_latency_ms);
         assert!(report.max_latency_ms >= report.p99_latency_ms, "p99 is clamped to the max");
-        assert!(report.throughput_tps > 0.0);
-        assert!(report.table_row("Direct").contains("4 users"));
+        assert!(report.rps() > 0.0);
+        assert!(report.table_row("Direct").contains("4 conns"));
         net.shutdown();
     }
 
     #[test]
     fn more_users_than_workers_still_completes_without_errors() {
         let Some(net) = front_end(false) else { return };
-        let mut scenario = Scenario::paper_scaled(12, 0.0);
+        let mut scenario = Scenario::paper_scaled(0.0);
         scenario.steps_per_user = 3;
-        scenario.fetch_state_each_step = false;
-        let report = run_load_test_tcp(net.local_addr(), &scenario);
+        let report = run(net.local_addr(), &scenario.load(12));
         assert_eq!(report.errors, 0);
-        assert_eq!(report.transactions, (12 * (3 + 2)) as u64);
+        assert_eq!(report.requests, (12 * (2 + 2 * 3)) as u64);
         net.shutdown();
     }
 
     #[test]
     fn delta_mode_completes_with_no_errors() {
         let Some(net) = front_end(true) else { return };
-        let mut scenario = Scenario::paper_scaled(3, 0.0);
+        let mut scenario = Scenario::paper_scaled(0.0);
         scenario.steps_per_user = 6;
         scenario.delta_state = true;
-        let report = run_load_test_tcp(net.local_addr(), &scenario);
+        let report = run(net.local_addr(), &scenario.load(3));
         // Same request count as full mode: 3 × (create + 6 × (step + fetch) + destroy).
-        assert_eq!(report.transactions, 42);
+        assert_eq!(report.requests, 42);
         assert_eq!(report.errors, 0, "delta fetches must all succeed");
         net.shutdown();
     }
@@ -1001,12 +791,12 @@ mod tests {
     fn tcp_transport_runs_the_same_scenario_with_no_errors() {
         let Some(net) = front_end(true) else { return };
         for delta in [false, true] {
-            let mut scenario = Scenario::paper_scaled(3, 0.0);
+            let mut scenario = Scenario::paper_scaled(0.0);
             scenario.steps_per_user = 4;
             scenario.delta_state = delta;
-            let report = run_load_test_tcp(net.local_addr(), &scenario);
+            let report = run(net.local_addr(), &scenario.load(3));
             // 3 users × (create + 4 × (step + fetch) + destroy).
-            assert_eq!(report.transactions, 30, "delta={delta}");
+            assert_eq!(report.requests, 30, "delta={delta}");
             assert_eq!(report.errors, 0, "delta={delta}");
             assert!(report.p90_latency_ms >= report.median_latency_ms);
         }
@@ -1016,19 +806,14 @@ mod tests {
     #[test]
     fn high_connection_sweep_completes_with_no_errors() {
         let Some(net) = front_end(true) else { return };
-        let options = HighConnectionOptions {
-            connections: 64,
-            target_rps: 400.0,
-            warmup: Duration::from_millis(100),
-            duration: Duration::from_millis(600),
-            sessions: 2,
-        };
-        let report = run_high_connection_test(net.local_addr(), &options).expect("sweep runs");
+        let sessions = sessions(net.local_addr(), 2);
+        let report =
+            run(net.local_addr(), &load(64, Pacing::Rate(400.0), Mix::GetState(sessions), 700));
         assert_eq!(report.connections, 64, "all requested connections are held");
         assert_eq!(report.errors, 0, "no request may fail");
-        assert!(report.transactions > 0, "paced requests must complete");
+        assert!(report.requests > 0, "paced requests must complete");
         assert!(report.p90_latency_ms >= report.median_latency_ms);
-        assert!(report.table_row().contains("64 conns"));
+        assert!(report.table_row("paced").contains("64 conns"));
         // The shared sessions mean nearly every request hit the cached
         // GetState payload.
         assert!(net.server().shared_state_serve_count() > 0);
@@ -1038,9 +823,9 @@ mod tests {
     #[test]
     fn cached_state_fanout_counts_requests_without_errors() {
         let Some(net) = front_end(true) else { return };
-        let sessions = sessions(net.local_addr(), 2, 4);
+        let sessions = sessions(net.local_addr(), 2);
         let report =
-            run_cached_state_fanout(&[(net.local_addr(), sessions)], 2, Duration::from_millis(300));
+            run(net.local_addr(), &load(2, Pacing::ClosedLoop, Mix::GetState(sessions), 300));
         assert_eq!(report.errors, 0);
         assert!(report.requests > 0);
         assert!(report.rps() > 0.0);
@@ -1054,12 +839,9 @@ mod tests {
         // The server compresses by default; an in-band error must still
         // count as one, not as a served request.
         let Some(net) = front_end(true) else { return };
-        let missing = 424_242;
-        let report = run_cached_state_fanout(
-            &[(net.local_addr(), vec![missing])],
-            1,
-            Duration::from_millis(100),
-        );
+        let missing = vec![424_242];
+        let report =
+            run(net.local_addr(), &load(1, Pacing::ClosedLoop, Mix::GetState(missing), 100));
         assert!(report.errors > 0, "{report:?}");
         assert_eq!(report.requests, 0, "{report:?}");
         net.shutdown();
@@ -1068,17 +850,19 @@ mod tests {
     #[test]
     fn step_load_advances_sessions_and_reports_a_clean_error_ratio() {
         let Some(net) = front_end(true) else { return };
-        let sessions = sessions(net.local_addr(), 3, 0);
+        let sessions = sessions(net.local_addr(), 3);
         let mut setup = rvsim_net::TcpApiClient::new(net.local_addr());
-        let report = run_step_load(net.local_addr(), &sessions, 2, Duration::from_millis(300));
+        let report =
+            run(net.local_addr(), &load(2, Pacing::ClosedLoop, Mix::Step(sessions.clone()), 300));
         assert!(report.requests > 0);
         assert_eq!(report.errors, 0);
         assert_eq!(report.error_ratio(), 0.0);
         assert!(report.errors_by_second.iter().all(|&e| e == 0));
-        // The load actually advanced state: every session left cycle 0.
+        // The load actually advanced state: every session left its warm-up
+        // cycle.
         for &session in &sessions {
             match setup.call(&Request::GetState { session }).unwrap() {
-                Response::State(snapshot) => assert!(snapshot.cycle > 0),
+                Response::State(snapshot) => assert!(snapshot.cycle > 8),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1087,66 +871,81 @@ mod tests {
 
     #[test]
     fn error_ratio_and_buckets_account_for_failures() {
-        let report = FanoutReport {
+        let report = LoadReport {
             requests: 90,
             errors: 10,
             errors_by_second: vec![0, 10, 0],
             wall_seconds: 3.0,
-            median_latency_ms: 0.5,
-            p99_latency_ms: 2.0,
-            max_latency_ms: 3.5,
+            ..LoadReport::default()
         };
         assert!((report.error_ratio() - 0.1).abs() < 1e-12);
-        let empty = FanoutReport {
-            requests: 0,
-            errors: 0,
-            errors_by_second: Vec::new(),
-            wall_seconds: 0.0,
-            median_latency_ms: 0.0,
-            p99_latency_ms: 0.0,
-            max_latency_ms: 0.0,
-        };
+        assert!((report.rps() - 30.0).abs() < 1e-12);
+        let empty = LoadReport::default();
         assert_eq!(empty.error_ratio(), 0.0);
-
-        let mut total = vec![1, 2];
-        merge_buckets(&mut total, &[0, 1, 5]);
-        assert_eq!(total, vec![1, 3, 5]);
-
-        // Old serialized reports (no buckets, no latency columns) still
-        // deserialize; the missing fields default to empty/zero.
-        let legacy: FanoutReport =
-            serde_json::from_str(r#"{"requests":5,"errors":1,"wall_seconds":1.0}"#).unwrap();
-        assert!(legacy.errors_by_second.is_empty());
-        assert_eq!(legacy.p99_latency_ms, 0.0);
-        assert_eq!(legacy.max_latency_ms, 0.0);
-    }
-
-    #[test]
-    fn response_scan_helpers_parse_heads() {
-        let head = b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 4\r\n\r\n";
-        assert_eq!(response_content_length(head), Some(4));
-        let mut full = head.to_vec();
-        assert_eq!(complete_response_len(&full), None, "body missing");
-        full.extend_from_slice(b"ok!\n");
-        assert_eq!(complete_response_len(&full), Some(full.len()));
-        assert_eq!(response_content_length(b"HTTP/1.1 200 OK\r\n\r\n"), None);
+        assert_eq!(empty.rps(), 0.0);
+        let back: LoadReport =
+            serde_json::from_str(&serde_json::to_string(&report).unwrap()).unwrap();
+        assert_eq!(back.errors_by_second, vec![0, 10, 0]);
     }
 
     #[test]
     fn bad_program_counts_as_errors_but_does_not_panic() {
         let Some(net) = front_end(false) else { return };
         let scenario = Scenario {
-            users: 2,
             steps_per_user: 2,
-            ramp_up_seconds: 0.0,
-            think_time_seconds: 0.0,
             programs: vec!["main:\n  bogus\n".to_string()],
             time_scale: 0.0,
-            fetch_state_each_step: false,
             delta_state: false,
         };
-        let report = run_load_test_tcp(net.local_addr(), &scenario);
+        let report = run(net.local_addr(), &scenario.load(2));
         assert_eq!(report.errors, 2, "each user fails once at session creation");
         net.shutdown();
+    }
+
+    #[test]
+    fn rate_paced_load_counts_the_errors_of_destroyed_sessions() {
+        let Some(net) = front_end(true) else { return };
+        let addr = net.local_addr();
+        let sessions = sessions(addr, 4);
+        let served = net.stats().requests_served.load(Ordering::Relaxed);
+        std::thread::scope(|scope| {
+            let destroyer = scope.spawn(|| {
+                // Destroy the sessions once the load has been answered.
+                wait_until_served(&net, served + 40);
+                let mut client = rvsim_net::TcpApiClient::new(addr);
+                for &session in &sessions {
+                    client.call(&Request::DestroySession { session }).unwrap();
+                }
+            });
+            let report =
+                run(addr, &load(16, Pacing::Rate(400.0), Mix::GetState(sessions.clone()), 1_000));
+            destroyer.join().unwrap();
+            assert!(report.requests > 0, "answers before the destroy: {report:?}");
+            assert!(report.errors > 0, "unknown-session answers after it: {report:?}");
+            assert_eq!(report.errors_by_second.iter().sum::<u64>(), report.errors);
+        });
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_dead_front_end_keeps_producing_errors_under_both_pacings() {
+        for pacing in [Pacing::ClosedLoop, Pacing::Rate(400.0)] {
+            let Some(net) = front_end(true) else { return };
+            let addr = net.local_addr();
+            let sessions = sessions(addr, 4);
+            let served = net.stats().requests_served.load(Ordering::Relaxed);
+            let stopper = std::thread::spawn(move || {
+                wait_until_served(&net, served + 40);
+                net.shutdown();
+            });
+            let report = run(addr, &load(16, pacing, Mix::GetState(sessions), 1_000));
+            stopper.join().unwrap();
+            assert!(report.requests > 0, "{pacing:?}: answers before the shutdown: {report:?}");
+            assert!(
+                report.errors > report.connections as u64,
+                "{pacing:?}: refused reconnects keep counting: {report:?}"
+            );
+            assert_eq!(report.errors_by_second.iter().sum::<u64>(), report.errors);
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! One [`TcpApiClient`] owns one keep-alive connection (opened lazily,
 //! re-opened once per call if the server closed it) and speaks exactly the
 //! framing the front end produces: a status line, headers with
-//! `content-length`, and a sized body.  This is what `rvsim-loadgen` and
-//! the benchmark harness drive.
+//! `content-length`, and a sized body.  The router's upstream calls and
+//! session set-up drive it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,6 +23,10 @@ const RETRY_BASE_DELAY: Duration = Duration::from_millis(5);
 
 /// Cap on any single backoff sleep.
 const RETRY_MAX_DELAY: Duration = Duration::from_millis(40);
+
+/// How long a call waits for its answer before failing.  Generous: it only
+/// turns a stuck server into an error instead of a hang.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Blocking protocol client over a keep-alive TCP connection.
 #[derive(Debug)]
@@ -109,9 +113,7 @@ impl TcpApiClient {
         if self.stream.is_none() {
             let stream = TcpStream::connect(self.addr)?;
             stream.set_nodelay(true)?;
-            // Generous timeout: a stuck server fails the call instead of
-            // hanging the load-generator thread forever.
-            stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+            stream.set_read_timeout(Some(READ_TIMEOUT))?;
             self.stream = Some(stream);
         }
         Ok(self.stream.as_mut().expect("just connected"))
@@ -197,9 +199,9 @@ fn read_response(
     mut buffered: Vec<u8>,
 ) -> std::io::Result<(u16, Vec<u8>, Vec<u8>)> {
     let mut chunk = [0u8; 16 * 1024];
-    let head_end = loop {
-        if let Some(end) = crate::http::find_head_end(&buffered) {
-            break end;
+    let head = loop {
+        if let Some(head) = crate::http::parse_response_head(&buffered)? {
+            break head;
         }
         let n = match stream.read(&mut chunk) {
             Ok(n) => n,
@@ -225,24 +227,8 @@ fn read_response(
         buffered.extend_from_slice(&chunk[..n]);
     };
 
-    let head = String::from_utf8_lossy(&buffered[..head_end]).into_owned();
-    let status = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| bad_response(format!("malformed status line in {head:?}")))?;
-    let content_length = head
-        .lines()
-        .find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length").then(|| value.trim().parse::<usize>())
-        })
-        .transpose()
-        .map_err(|_| bad_response("bad content-length".into()))?
-        .unwrap_or(0);
-
-    let mut rest = buffered.split_off(head_end);
-    while rest.len() < content_length {
+    let mut rest = buffered.split_off(head.head_len);
+    while rest.len() < head.content_length {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Err(std::io::Error::new(
@@ -252,8 +238,8 @@ fn read_response(
         }
         rest.extend_from_slice(&chunk[..n]);
     }
-    let residue = rest.split_off(content_length);
-    Ok((status, rest, residue))
+    let residue = rest.split_off(head.content_length);
+    Ok((head.status, rest, residue))
 }
 
 fn bad_response(message: String) -> std::io::Error {

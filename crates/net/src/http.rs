@@ -1,4 +1,5 @@
-//! Incremental HTTP/1.1 request framing.
+//! Incremental HTTP/1.1 request framing, and the response-head parse the
+//! clients share.
 //!
 //! [`RequestParser`] accumulates bytes as they arrive from a socket and
 //! yields complete requests: it tolerates arbitrary partial reads (a request
@@ -209,6 +210,44 @@ impl Version {
 /// the client-side response reader so both directions frame identically.
 pub fn find_head_end(data: &[u8]) -> Option<usize> {
     find_head_end_from(data, 0)
+}
+
+/// How one HTTP response is framed, read off its head by
+/// [`parse_response_head`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResponseFrame {
+    /// Status code.
+    pub status: u16,
+    /// Length of the head, terminator included: the body starts here.
+    pub head_len: usize,
+    /// Body length from `content-length` (`0` when the header is absent).
+    pub content_length: usize,
+}
+
+/// Parse the response head at the start of `buf`: `Ok(None)` while the head
+/// is incomplete.  A missing `content-length` means an empty body; a
+/// malformed status line or `content-length` is `InvalidData`.  The blocking
+/// client and the load generator both frame responses with it.
+pub fn parse_response_head(buf: &[u8]) -> std::io::Result<Option<ResponseFrame>> {
+    let Some(head_len) = find_head_end(buf) else { return Ok(None) };
+    let head = String::from_utf8_lossy(&buf[..head_len]);
+    let invalid = |message: String| std::io::Error::new(std::io::ErrorKind::InvalidData, message);
+    let status = head
+        .lines()
+        .next()
+        .and_then(|line| line.split(' ').nth(1))
+        .and_then(|s| s.parse::<u16>().ok())
+        .ok_or_else(|| invalid(format!("malformed status line in {head:?}")))?;
+    let content_length = head
+        .lines()
+        .find_map(|line| {
+            let (name, value) = line.split_once(':')?;
+            name.eq_ignore_ascii_case("content-length").then(|| value.trim().parse::<usize>())
+        })
+        .transpose()
+        .map_err(|_| invalid("bad content-length".into()))?
+        .unwrap_or(0);
+    Ok(Some(ResponseFrame { status, head_len, content_length }))
 }
 
 /// [`find_head_end`] resuming at byte `start` (everything before `start` is
@@ -614,6 +653,27 @@ mod tests {
                 assert_eq!(request.body, b"ok");
                 assert_eq!(parser.scanned, 0, "consume must reset the scan cursor");
             }
+        }
+    }
+
+    #[test]
+    fn response_heads_parse_to_status_and_lengths() {
+        let head = b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 4\r\n\r\n";
+        assert_eq!(
+            parse_response_head(head).unwrap(),
+            Some(ResponseFrame { status: 200, head_len: head.len(), content_length: 4 })
+        );
+        let mut full = head.to_vec();
+        full.extend_from_slice(b"ok!\n");
+        assert_eq!(parse_response_head(&full).unwrap().unwrap().head_len, head.len());
+        assert_eq!(parse_response_head(&head[..head.len() - 1]).unwrap(), None, "head incomplete");
+        // A missing content-length is an empty body; a bad one, or a bad
+        // status line, is InvalidData.
+        let bare = parse_response_head(b"HTTP/1.1 503 Service Unavailable\r\n\r\n").unwrap();
+        assert_eq!(bare.map(|f| (f.status, f.content_length)), Some((503, 0)));
+        for bad in [&b"HTTP/1.1 200 OK\r\ncontent-length: x\r\n\r\n"[..], b"garbage\r\n\r\n"] {
+            let error = parse_response_head(bad).unwrap_err();
+            assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
         }
     }
 }

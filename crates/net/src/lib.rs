@@ -17,7 +17,8 @@
 //!   periodic housekeeping tick (idle-session eviction) and a
 //!   `GET /metrics` stats endpoint;
 //! * [`TcpApiClient`] — the matching blocking keep-alive client used by
-//!   `rvsim-loadgen` and the server benchmark.
+//!   the router, session set-up and tests; `rvsim-loadgen` frames its
+//!   responses with the same [`parse_response_head`].
 //!
 //! The response body of the protocol endpoint is the server's shared
 //! [`bytes::Bytes`] payload handle: a cached `GetState` flows from the
@@ -34,7 +35,8 @@ pub mod server;
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats};
 pub use client::{http_get, http_post, http_request, TcpApiClient};
 pub use http::{
-    find_head_end, HttpError, HttpRequest, RequestParser, Version, MAX_BODY_BYTES, MAX_HEAD_BYTES,
+    find_head_end, parse_response_head, HttpError, HttpRequest, RequestParser, ResponseFrame,
+    Version, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 pub use router::{DrainReport, FailoverReport, RecoveredSession, Router, ROUTER_SESSION_BASE};
 pub use server::{ApiHandler, ControlResponse, NetConfig, NetServer, NetStats};

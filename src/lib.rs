@@ -65,7 +65,7 @@ pub mod prelude {
     };
     pub use rvsim_isa::{InstructionSet, RegisterId};
     pub use rvsim_iss::{generate_program, Cosim, CosimOutcome, GenOptions, Iss};
-    pub use rvsim_loadgen::{run_load_test_tcp, LoadTestReport, Scenario};
+    pub use rvsim_loadgen::{Load, LoadReport, Mix, Pacing, Scenario};
     pub use rvsim_mem::{ArrayFill, CacheConfig, MemoryArray, MemorySettings, ScalarType};
     pub use rvsim_net::{NetConfig, NetServer, TcpApiClient};
     pub use rvsim_predictor::{BranchPredictorConfig, CounterState, HistoryKind, PredictorKind};

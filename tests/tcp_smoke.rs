@@ -5,6 +5,7 @@
 //! pipelined requests, slow response readers, HTTP version echo).  Skips
 //! gracefully when the sandbox forbids loopback sockets.
 
+use riscv_superscalar_sim::loadgen;
 use riscv_superscalar_sim::net::find_head_end;
 use riscv_superscalar_sim::prelude::*;
 use std::io::{Read, Write};
@@ -81,17 +82,18 @@ fn tcp_front_end_survives_a_loadgen_burst_with_zero_errors() {
 
     // A short burst of the paper scenario: 6 users, 5 interactive steps
     // each, no think time.
-    let mut scenario = Scenario::paper_scaled(6, 0.0);
+    let mut scenario = Scenario::paper_scaled(0.0);
     scenario.steps_per_user = 5;
-    let report = run_load_test_tcp(addr, &scenario);
-    // 6 users × (create + 5 × (step + state) + destroy) transactions.
-    assert_eq!(report.transactions, 72);
+    let report = loadgen::run(addr, &scenario.load(6));
+    // 6 users × (create + 5 × (step + state) + destroy) requests.
+    assert_eq!(report.requests, 72);
     assert_eq!(report.errors, 0, "TCP burst must complete without errors");
-    assert!(report.throughput_tps > 0.0);
+    assert!(report.rps() > 0.0);
 
     // Delta mode over the same wire.
     scenario.delta_state = true;
-    let delta_report = run_load_test_tcp(addr, &scenario);
+    let delta_report = loadgen::run(addr, &scenario.load(6));
+    assert_eq!(delta_report.requests, 72);
     assert_eq!(delta_report.errors, 0, "delta-mode TCP burst must complete without errors");
 
     // The metrics endpoint reflects the traffic.
