@@ -279,511 +279,6 @@ impl CosimCliOptions {
 }
 
 // ---------------------------------------------------------------------------
-// `bench` subcommand: pipeline-throughput benchmark (retired instrs/second).
-// ---------------------------------------------------------------------------
-
-/// Usage string of the `bench` subcommand.
-pub const BENCH_USAGE: &str = "\
-rvsim-cli bench — throughput benchmarks
-               (pipeline: retired instructions per host second;
-                --server: GetState request path + load-test scenario)
-
-USAGE:
-    rvsim-cli bench [OPTIONS]
-
-OPTIONS:
-    --json                  emit machine-readable JSON (and write it to
-                            BENCH_pipeline.json / BENCH_server.json unless
-                            --out changes the path)
-    --out <FILE>            JSON output path (implies --json)
-    --min-seconds <F>       minimum measurement window per benchmark cell
-                            (default 0.2; use a small value for smoke runs)
-    --server                measure the server request path instead of the
-                            pipeline: raw GetState p50/p90 and requests/s
-                            with and without compression, plus the paper's
-                            load-test scenario at 1/8/32 users
-    --time-scale <F>        load-generator time scale for --server
-                            (default 0.05; 1.0 = paper timing)
-    --users <N[,N..]>       load-generator user counts for --server
-                            (default 1,8,32)
-    --high-connections <N[,N..]>
-                            also sweep the event-loop front end with N
-                            keep-alive loopback connections per point at a
-                            constant aggregate request rate (server mode;
-                            default: skipped).  When client and server fds
-                            together exceed the fd budget the server runs
-                            in a child `rvsim-cli serve` process
-    --multi-node <N[,N..]>  also measure the router tier: for each backend
-                            count N, start N emulated-remote nodes behind a
-                            consistent-hash router and record the aggregate
-                            cached-GetState throughput, plus one
-                            drain-under-load sample (server mode; default:
-                            skipped)
-    --durability            also measure crash recovery: kill one of two
-                            checkpointing backends mid-load and record
-                            sessions recovered, checkpoint staleness and the
-                            client error timeline (server mode; default:
-                            skipped)
-    --help                  show this help
-";
-
-/// Parsed options of the `bench` subcommand.
-#[derive(Debug, Clone)]
-pub struct BenchCliOptions {
-    /// Emit (and write) JSON instead of the text table.
-    pub json: bool,
-    /// Path of the JSON report (written only in JSON mode); `None` selects
-    /// the per-mode default (`BENCH_pipeline.json` / `BENCH_server.json`).
-    pub out: Option<String>,
-    /// Minimum measurement window per benchmark cell, in seconds.
-    pub min_seconds: f64,
-    /// Measure the server request path instead of the pipeline.
-    pub server: bool,
-    /// Load-generator time scale (server mode).
-    pub time_scale: f64,
-    /// Load-generator user counts (server mode).
-    pub users: Vec<usize>,
-    /// High-connection sweep points (server mode; empty = skip the sweep).
-    pub high_connections: Vec<usize>,
-    /// Multi-node backend counts (server mode; empty = skip the section).
-    pub multi_node: Vec<usize>,
-    /// Measure the kill-one-backend durability scenario (server mode).
-    pub durability: bool,
-}
-
-impl Default for BenchCliOptions {
-    fn default() -> Self {
-        BenchCliOptions {
-            json: false,
-            out: None,
-            min_seconds: 0.2,
-            server: false,
-            time_scale: 0.05,
-            users: vec![1, 8, 32],
-            high_connections: Vec::new(),
-            multi_node: Vec::new(),
-            durability: false,
-        }
-    }
-}
-
-impl BenchCliOptions {
-    /// Effective JSON output path.
-    pub fn out_path(&self) -> &str {
-        match &self.out {
-            Some(path) => path,
-            None if self.server => "BENCH_server.json",
-            None => "BENCH_pipeline.json",
-        }
-    }
-}
-
-impl BenchCliOptions {
-    /// Parse the arguments following the `bench` subcommand word.
-    pub fn parse(args: &[String]) -> Result<BenchCliOptions, String> {
-        let mut options = BenchCliOptions::default();
-        let mut i = 0;
-        let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-            *i += 1;
-            args.get(*i).cloned().ok_or_else(|| format!("missing value for {flag}"))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--json" => options.json = true,
-                "--out" => {
-                    options.out = Some(value(&mut i, "--out")?);
-                    options.json = true;
-                }
-                "--min-seconds" => {
-                    let v = value(&mut i, "--min-seconds")?;
-                    options.min_seconds =
-                        v.parse().map_err(|_| format!("invalid duration `{v}`"))?;
-                    if !options.min_seconds.is_finite() || options.min_seconds < 0.0 {
-                        return Err(format!("invalid duration `{v}`"));
-                    }
-                }
-                "--server" => options.server = true,
-                "--time-scale" => {
-                    let v = value(&mut i, "--time-scale")?;
-                    options.time_scale =
-                        v.parse().map_err(|_| format!("invalid time scale `{v}`"))?;
-                    if !options.time_scale.is_finite() || options.time_scale < 0.0 {
-                        return Err(format!("invalid time scale `{v}`"));
-                    }
-                }
-                "--users" => {
-                    let v = value(&mut i, "--users")?;
-                    options.users = v
-                        .split(',')
-                        .map(|part| {
-                            part.trim()
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&n| n > 0)
-                                .ok_or_else(|| format!("invalid user count `{part}`"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    if options.users.is_empty() {
-                        return Err("--users needs at least one count".to_string());
-                    }
-                }
-                "--high-connections" => {
-                    let v = value(&mut i, "--high-connections")?;
-                    options.high_connections = v
-                        .split(',')
-                        .map(|part| {
-                            part.trim()
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&n| n > 0)
-                                .ok_or_else(|| format!("invalid connection count `{part}`"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    if options.high_connections.is_empty() {
-                        return Err("--high-connections needs at least one count".to_string());
-                    }
-                }
-                "--multi-node" => {
-                    let v = value(&mut i, "--multi-node")?;
-                    options.multi_node = v
-                        .split(',')
-                        .map(|part| {
-                            part.trim()
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&n| n > 0)
-                                .ok_or_else(|| format!("invalid backend count `{part}`"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    if options.multi_node.is_empty() {
-                        return Err("--multi-node needs at least one count".to_string());
-                    }
-                }
-                "--durability" => options.durability = true,
-                "--help" | "-h" => return Err(BENCH_USAGE.to_string()),
-                other => return Err(format!("unknown argument `{other}`\n\n{BENCH_USAGE}")),
-            }
-            i += 1;
-        }
-        Ok(options)
-    }
-}
-
-/// Run the `bench` subcommand.  In JSON mode the report is also written to
-/// `options.out` (`BENCH_pipeline.json` / `BENCH_server.json` by default) so
-/// CI can archive the perf trajectory.
-pub fn run_bench(options: &BenchCliOptions) -> Result<String, String> {
-    if options.server {
-        return run_server_bench(options);
-    }
-    let samples = rvsim_bench::run_pipeline_bench(options.min_seconds);
-    let total_retired: f64 = samples.iter().map(|s| s.retired_per_second).sum();
-    let geomean = if samples.is_empty() {
-        0.0
-    } else {
-        let log_sum: f64 = samples.iter().map(|s| s.retired_per_second.ln()).sum();
-        (log_sum / samples.len() as f64).exp()
-    };
-
-    if options.json {
-        let value = serde_json::json!({
-            "benchmark": "pipeline_throughput",
-            "metric": "retired_instructions_per_host_second",
-            "min_seconds_per_cell": options.min_seconds,
-            "samples": samples,
-            "geomean_retired_per_second": geomean,
-            "sum_retired_per_second": total_retired,
-        });
-        let mut text = serde_json::to_string_pretty(&value).expect("bench report serializes");
-        text.push('\n');
-        let out = options.out_path();
-        std::fs::write(out, &text).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-        return Ok(text);
-    }
-
-    let mut out = String::new();
-    out.push_str("=== pipeline throughput (retired instructions / host second) ===\n");
-    out.push_str(&format!(
-        "{:<12} {:<20} {:>6} {:>12} {:>8} {:>16}\n",
-        "workload", "config", "width", "instrs/run", "runs", "retired/s"
-    ));
-    for s in &samples {
-        out.push_str(&format!(
-            "{:<12} {:<20} {:>6} {:>12} {:>8} {:>16.0}\n",
-            s.workload, s.config, s.fetch_width, s.committed_per_run, s.runs, s.retired_per_second
-        ));
-    }
-    out.push_str(&format!("geomean: {geomean:.0} retired instructions/s\n"));
-    Ok(out)
-}
-
-/// Run the server-throughput benchmark (`bench --server`).
-fn run_server_bench(options: &BenchCliOptions) -> Result<String, String> {
-    let bench_options = rvsim_bench::ServerBenchOptions {
-        min_seconds: options.min_seconds,
-        time_scale: options.time_scale,
-        users: options.users.clone(),
-    };
-    let mut report = rvsim_bench::run_server_bench(&bench_options);
-    if !options.high_connections.is_empty() {
-        report.high_connection =
-            run_high_connection_sweep(&options.high_connections, SWEEP_RPS, SWEEP_DURATION)?;
-    }
-    if !options.multi_node.is_empty() {
-        // Each scaling point is its own fleet; a sub-second window is too
-        // noisy to compare them, so the per-point floor is 1s even when the
-        // rest of the bench runs in smoke mode.
-        report.multi_node =
-            rvsim_bench::run_multi_node_bench(&options.multi_node, options.min_seconds.max(1.0));
-    }
-    if options.durability {
-        // The scenario needs room for checkpoints, the kill and the probe
-        // cycle; `run_durability_bench` enforces its own 3s floor.
-        report.durability = rvsim_bench::run_durability_bench(options.min_seconds);
-    }
-
-    // Before/after check: compare this run's headline numbers against the
-    // previously committed report at the output path, if one exists.  The
-    // delta is the measured cost of the always-on request tracing.
-    let now_rps = report.headline_get_state_rps();
-    let now_p90 = report
-        .tcp
-        .iter()
-        .find(|s| s.mode == "full" && s.users == 32)
-        .map(|s| s.report.p90_latency_ms);
-    if let Some(section) = report.observability.as_mut() {
-        if let Ok(old) =
-            std::fs::read_to_string(options.out_path()).map_err(|e| e.to_string()).and_then(
-                |text| serde_json::from_str::<serde_json::Value>(&text).map_err(|e| e.to_string()),
-            )
-        {
-            section.baseline_headline_get_state_rps = old["headline_get_state_rps"].as_f64();
-            if let (Some(before), Some(now)) = (section.baseline_headline_get_state_rps, now_rps) {
-                if before > 0.0 {
-                    section.headline_delta_ratio = Some(now / before - 1.0);
-                }
-            }
-            section.baseline_load_p90_ms = old["tcp"].as_array().and_then(|rows| {
-                rows.iter()
-                    .find(|r| r["mode"] == "full" && r["users"] == 32)
-                    .and_then(|r| r["report"]["p90_latency_ms"].as_f64())
-            });
-            if let (Some(before), Some(now)) = (section.baseline_load_p90_ms, now_p90) {
-                if before > 0.0 {
-                    section.load_p90_delta_ratio = Some(now / before - 1.0);
-                }
-            }
-        }
-    }
-
-    if options.json {
-        let value = serde_json::json!({
-            "benchmark": "server_request",
-            "metric": "get_state_requests_per_second",
-            "min_seconds_per_cell": options.min_seconds,
-            "time_scale": options.time_scale,
-            "headline_get_state_rps": report.headline_get_state_rps(),
-            "raw": report.raw,
-            "tcp": report.tcp,
-            "high_connection": report.high_connection,
-            "multi_node": report.multi_node,
-            "durability": report.durability,
-            "observability": report.observability,
-        });
-        let mut text = serde_json::to_string_pretty(&value).expect("server report serializes");
-        text.push('\n');
-        let out = options.out_path();
-        std::fs::write(out, &text).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-        return Ok(text);
-    }
-
-    let mut out = String::new();
-    out.push_str("=== server request path (GetState) ===\n");
-    out.push_str(&format!(
-        "{:<12} {:>10} {:>12} {:>10} {:>10} {:>10}\n",
-        "scenario", "compress", "requests/s", "p50 us", "p90 us", "bytes"
-    ));
-    for s in &report.raw {
-        out.push_str(&format!(
-            "{:<12} {:>10} {:>12.0} {:>10.1} {:>10.1} {:>10}\n",
-            s.scenario, s.compressed, s.requests_per_second, s.p50_us, s.p90_us, s.payload_bytes
-        ));
-    }
-    out.push_str("=== load test (paper scenario, TCP loopback) ===\n");
-    if report.tcp.is_empty() {
-        out.push_str("(skipped: loopback sockets unavailable)\n");
-    }
-    for s in &report.tcp {
-        out.push_str(&s.report.table_row(&format!("{}/{}", s.mode, s.users)));
-        out.push('\n');
-    }
-    if !report.high_connection.is_empty() {
-        out.push_str("=== high-connection sweep (event-loop front end, TCP loopback) ===\n");
-        for r in &report.high_connection {
-            out.push_str(&r.table_row(&format!("{SWEEP_RPS} rps")));
-            out.push('\n');
-        }
-    }
-    if let Some(section) = &report.multi_node {
-        out.push_str(&format!(
-            "=== multi-node scaling (router tier, {}us emulated service time) ===\n",
-            section.emulated_service_time_us
-        ));
-        out.push_str(&format!(
-            "{:<10} {:>10} {:>12} {:>12} {:>8}\n",
-            "backends", "sessions", "requests", "req/s", "errors"
-        ));
-        for s in &section.scaling {
-            out.push_str(&format!(
-                "{:<10} {:>10} {:>12} {:>12.0} {:>8}\n",
-                s.backends, s.sessions, s.requests, s.aggregate_rps, s.errors
-            ));
-        }
-        out.push_str(&format!("speedup 1 -> max: {:.2}x\n", section.speedup_1_to_max));
-        if let Some(d) = &section.drain {
-            out.push_str(&format!(
-                "live drain: {}/{} sessions migrated, {} client requests, {} errors\n",
-                d.migrated, d.sessions, d.requests, d.errors
-            ));
-        }
-    }
-    if let Some(d) = &report.durability {
-        out.push_str(&format!(
-            "=== durability (kill one of two backends mid-load, {}ms checkpoints) ===\n",
-            d.checkpoint_interval_ms
-        ));
-        out.push_str(&format!(
-            "{}/{} sessions recovered ({} were on the killed backend, {} lost), \
-             max staleness {} ms\n",
-            d.recovered, d.sessions, d.sessions_on_killed_backend, d.lost, d.max_staleness_ms
-        ));
-        out.push_str(&format!(
-            "{} client requests in {:.2}s, {} errors, {} breaker fast-fails; \
-             errors by second: {:?}\n",
-            d.requests, d.wall_seconds, d.errors, d.breaker_fast_fails, d.errors_by_second
-        ));
-    }
-    if let Some(o) = &report.observability {
-        out.push_str("=== observability overhead (tracing primitives, per op) ===\n");
-        out.push_str(&format!(
-            "histogram record {:.1} ns, journal append {:.1} ns, id mint {:.1} ns, \
-             clock sample {:.1} ns => ~{:.0} ns per traced request\n",
-            o.histogram_record_ns,
-            o.journal_record_ns,
-            o.mint_request_id_ns,
-            o.clock_sample_ns,
-            o.per_request_overhead_ns
-        ));
-        if let (Some(before), Some(delta)) =
-            (o.baseline_headline_get_state_rps, o.headline_delta_ratio)
-        {
-            out.push_str(&format!(
-                "headline GetState: {before:.0} req/s committed -> {:+.2}% this run\n",
-                delta * 100.0
-            ));
-        }
-        if let (Some(before), Some(delta)) = (o.baseline_load_p90_ms, o.load_p90_delta_ratio) {
-            out.push_str(&format!(
-                "32-user p90: {before:.3} ms committed -> {:+.2}% this run\n",
-                delta * 100.0
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// Aggregate request rate of the high-connection sweep, held constant
-/// across points so latency differences come from the connection count.
-const SWEEP_RPS: f64 = 2_000.0;
-
-/// How long each high-connection sweep point runs.
-const SWEEP_DURATION: std::time::Duration = std::time::Duration::from_secs(3);
-
-/// Sessions the sweep's connections share.  Few on purpose: most requests
-/// hit an unchanged cycle, exercising the cached-`GetState` path under
-/// connection pressure.
-const SWEEP_SESSIONS: usize = 8;
-
-/// Run the high-connection latency sweep: hold `counts` keep-alive loopback
-/// connections (one point per count) against the event-loop front end, each
-/// point pacing `rps` aggregate cached `GetState` requests for `duration`.
-///
-/// Client and server each burn one fd per connection, so both halves fit a
-/// single process only while twice the largest count stays inside the fd
-/// budget.  Beyond that the server runs as a child `rvsim-cli serve`
-/// process with its own budget, discovered through the startup banner.
-fn run_high_connection_sweep(
-    counts: &[usize],
-    rps: f64,
-    duration: std::time::Duration,
-) -> Result<Vec<rvsim_loadgen::LoadReport>, String> {
-    use std::io::BufRead;
-
-    let max = counts.iter().copied().max().unwrap_or(0);
-    let cap = max + 64;
-    let in_process = max.saturating_mul(2) + 128 <= rvsim_loadgen::fd_budget();
-
-    let sweep = |addr: std::net::SocketAddr| -> Result<Vec<_>, String> {
-        let sessions = rvsim_loadgen::create_sessions(
-            addr,
-            &rvsim_loadgen::sample_program_loop(),
-            std::iter::repeat_n(None, SWEEP_SESSIONS),
-        )?;
-        let point = |connections| rvsim_loadgen::Load {
-            connections,
-            pacing: rvsim_loadgen::Pacing::Rate(rps),
-            mix: rvsim_loadgen::Mix::GetState(sessions.clone()),
-            duration,
-        };
-        Ok(counts
-            .iter()
-            .map(|&connections| rvsim_loadgen::run(addr, &point(connections)))
-            .collect())
-    };
-
-    if in_process {
-        let net = start_serve(&ServeCliOptions {
-            tcp: true,
-            addr: "127.0.0.1:0".to_string(),
-            max_connections: cap,
-            ..ServeCliOptions::default()
-        })?;
-        let reports = sweep(net.local_addr());
-        net.shutdown();
-        return reports;
-    }
-
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let mut child = std::process::Command::new(exe)
-        .args(["serve", "--tcp", "--addr", "127.0.0.1:0", "--max-connections"])
-        .arg(cap.to_string())
-        .stdin(std::process::Stdio::null())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .map_err(|e| format!("cannot spawn serve child: {e}"))?;
-    let mut banner = String::new();
-    let read = child.stdout.take().map(|out| std::io::BufReader::new(out).read_line(&mut banner));
-    let result = match read {
-        Some(Ok(n)) if n > 0 => parse_serve_banner(&banner).and_then(sweep),
-        _ => Err("serve child produced no startup banner".to_string()),
-    };
-    let _ = child.kill();
-    let _ = child.wait();
-    result
-}
-
-/// Extract the bound address from the serve startup banner
-/// (`rvsim-net listening on http://IP:PORT (...)`).
-fn parse_serve_banner(line: &str) -> Result<std::net::SocketAddr, String> {
-    line.split("http://")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|addr| addr.parse().ok())
-        .ok_or_else(|| format!("unexpected serve banner `{}`", line.trim()))
-}
-
-// ---------------------------------------------------------------------------
 // `serve` subcommand: the TCP/HTTP network front end.
 // ---------------------------------------------------------------------------
 
@@ -1861,11 +1356,21 @@ pub fn render_top(
         ));
     }
     if let Some(backends) = value("rvsim_router_backends") {
+        // Every upstream hop, failed or not, lands in its backend's latency
+        // histogram, so the hop count is the sum of the series' `_count`s.
+        let forwarded: f64 = families
+            .iter()
+            .find(|f| f.name == "rvsim_router_upstream_seconds")
+            .map_or(0.0, |family| {
+                histogram_label_values(family, "backend")
+                    .iter()
+                    .map(|backend| histogram_count(family, &[("backend", backend)]))
+                    .sum()
+            });
         out.push_str(&format!(
-            "  router: {:.0}/{backends:.0} backends alive, {:.0} forwarded, {:.0} upstream errors, \
-             {:.0} sessions recovered\n",
+            "  router: {:.0}/{backends:.0} backends alive, {forwarded:.0} forwarded, \
+             {:.0} upstream errors, {:.0} sessions recovered\n",
             value("rvsim_router_backends_alive").unwrap_or(0.0),
-            value("rvsim_router_requests_forwarded_total").unwrap_or(0.0),
             value("rvsim_router_upstream_errors_total").unwrap_or(0.0),
             value("rvsim_router_sessions_recovered_total").unwrap_or(0.0),
         ));
@@ -1938,8 +1443,8 @@ fn parse_fault(spec: &str) -> Result<rvsim_iss::InjectedFault, String> {
 /// Resolve the configurations a cosim invocation covers: a custom `--arch`
 /// file runs alone; by default the batch co-verifies the single-issue
 /// scalar preset, the default 2-wide machine every plain user gets, and the
-/// 4-wide / deep-ROB `wide-4` preset — the same machines the throughput
-/// benchmark measures.
+/// 4-wide / deep-ROB `wide-4` preset — the machines the benchmark's `batch`
+/// workload runs on.
 fn cosim_configs(options: &CosimCliOptions) -> Result<Vec<ArchitectureConfig>, String> {
     match &options.arch_path {
         Some(path) => {
@@ -1947,9 +1452,11 @@ fn cosim_configs(options: &CosimCliOptions) -> Result<Vec<ArchitectureConfig>, S
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
             Ok(vec![ArchitectureConfig::from_json(&json)?])
         }
-        // The throughput benchmark's preset matrix, so the batch always
-        // co-verifies exactly the machines the bench measures.
-        None => Ok(rvsim_bench::pipeline_bench_configs()),
+        None => Ok(vec![
+            ArchitectureConfig::scalar(),
+            ArchitectureConfig::default(),
+            ArchitectureConfig::wide(),
+        ]),
     }
 }
 
@@ -2419,155 +1926,6 @@ main:
     }
 
     #[test]
-    fn bench_options_parse() {
-        let defaults = BenchCliOptions::parse(&args(&[])).unwrap();
-        assert!(!defaults.json);
-        assert!(!defaults.server);
-        assert_eq!(defaults.out_path(), "BENCH_pipeline.json");
-        assert!((defaults.min_seconds - 0.2).abs() < 1e-12);
-        assert_eq!(defaults.users, vec![1, 8, 32]);
-
-        let o =
-            BenchCliOptions::parse(&args(&["--out", "x.json", "--min-seconds", "0.01"])).unwrap();
-        assert!(o.json, "--out implies --json");
-        assert_eq!(o.out_path(), "x.json");
-
-        let s =
-            BenchCliOptions::parse(&args(&["--server", "--time-scale", "0.5", "--users", "2,4"]))
-                .unwrap();
-        assert!(s.server);
-        assert_eq!(s.out_path(), "BENCH_server.json");
-        assert!((s.time_scale - 0.5).abs() < 1e-12);
-        assert_eq!(s.users, vec![2, 4]);
-        assert!(s.high_connections.is_empty(), "sweep is opt-in");
-
-        let h = BenchCliOptions::parse(&args(&["--server", "--high-connections", "100, 1000"]))
-            .unwrap();
-        assert_eq!(h.high_connections, vec![100, 1000]);
-        assert!(BenchCliOptions::parse(&args(&["--high-connections", "0"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--high-connections", "x"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--high-connections"])).is_err());
-
-        assert!(BenchCliOptions::parse(&args(&["--min-seconds", "zz"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--min-seconds", "-1"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--min-seconds", "inf"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--min-seconds", "NaN"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--time-scale", "-2"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--users", "0"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--users", "x"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--bogus"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--help"])).unwrap_err().contains("bench"));
-
-        assert!(!defaults.durability, "the kill scenario is opt-in");
-        let d = BenchCliOptions::parse(&args(&["--server", "--durability"])).unwrap();
-        assert!(d.durability);
-    }
-
-    #[test]
-    fn bench_run_writes_machine_readable_report() {
-        let dir = std::env::temp_dir().join(format!("rvsim-bench-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_pipeline.json");
-        let options = BenchCliOptions {
-            json: true,
-            out: Some(out.to_string_lossy().into_owned()),
-            min_seconds: 0.0,
-            ..Default::default()
-        };
-        let text = run_bench(&options).unwrap();
-        let value: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(value["benchmark"], "pipeline_throughput");
-        let samples = value["samples"].as_array().unwrap();
-        // 5 workloads × 3 configurations.
-        assert_eq!(samples.len(), 15);
-        assert!(samples.iter().any(|s| s["workload"] == "quicksort"));
-        assert!(value["geomean_retired_per_second"].as_f64().unwrap() > 0.0);
-        // The file on disk is the same report.
-        let on_disk = std::fs::read_to_string(&out).unwrap();
-        assert_eq!(on_disk, text);
-        std::fs::remove_dir_all(&dir).ok();
-
-        // Text mode renders a table and does not touch the filesystem.
-        let table = run_bench(&BenchCliOptions { min_seconds: 0.0, ..Default::default() }).unwrap();
-        assert!(table.contains("retired/s"));
-        assert!(table.contains("quicksort"));
-    }
-
-    #[test]
-    fn server_bench_writes_machine_readable_report() {
-        let dir = std::env::temp_dir().join(format!("rvsim-sbench-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_server.json");
-        let options = BenchCliOptions {
-            json: true,
-            out: Some(out.to_string_lossy().into_owned()),
-            min_seconds: 0.0,
-            server: true,
-            time_scale: 0.0,
-            users: vec![2],
-            high_connections: Vec::new(),
-            multi_node: Vec::new(),
-            durability: false,
-        };
-        let text = run_bench(&options).unwrap();
-        let value: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(value["benchmark"], "server_request");
-        let raw = value["raw"].as_array().unwrap();
-        // 2 scenarios × compression on/off.
-        assert_eq!(raw.len(), 4);
-        assert!(raw.iter().any(|s| s["scenario"] == "get_state" && s["compressed"] == true));
-        assert!(value["headline_get_state_rps"].as_f64().unwrap() > 0.0);
-        // The paper scenario runs over loopback (no rows where sockets are forbidden).
-        let loopback = std::net::TcpListener::bind("127.0.0.1:0").is_ok();
-        assert_eq!(value["tcp"].as_array().unwrap().is_empty(), !loopback);
-        assert!(std::path::Path::new(&out).exists());
-        std::fs::remove_dir_all(&dir).ok();
-
-        // Text mode renders the request-path table.
-        let table = run_bench(&BenchCliOptions {
-            min_seconds: 0.0,
-            server: true,
-            time_scale: 0.0,
-            users: vec![1],
-            ..Default::default()
-        })
-        .unwrap();
-        assert!(table.contains("get_state"));
-        assert!(table.contains("load test"));
-    }
-
-    #[test]
-    fn serve_banner_parses_back_to_an_address() {
-        let addr = parse_serve_banner(
-            "rvsim-net listening on http://127.0.0.1:8911 (POST /api, GET /metrics, GET /healthz)\n",
-        )
-        .unwrap();
-        assert_eq!(addr, "127.0.0.1:8911".parse().unwrap());
-        assert!(parse_serve_banner("cannot bind").is_err());
-        assert!(parse_serve_banner("listening on http://not-an-addr oops").is_err());
-    }
-
-    #[test]
-    fn high_connection_sweep_runs_in_process() {
-        if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
-            eprintln!("skipping sweep test: loopback unavailable");
-            return;
-        }
-        // 16 and 32 connections stay far inside the fd budget, so this
-        // exercises the in-process server path end to end.
-        let reports =
-            run_high_connection_sweep(&[16, 32], 400.0, std::time::Duration::from_millis(450))
-                .unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].connections, 16);
-        assert_eq!(reports[1].connections, 32);
-        for r in &reports {
-            assert_eq!(r.errors, 0, "sweep request failed");
-            assert!(r.requests > 0);
-        }
-    }
-
-    #[test]
     fn serve_options_parse() {
         assert!(ServeCliOptions::parse(&args(&[])).is_err(), "--tcp is mandatory");
         assert!(ServeCliOptions::parse(&args(&["--help"])).unwrap_err().contains("serve"));
@@ -2814,6 +2172,57 @@ main:
     }
 
     #[test]
+    fn top_counts_every_request_a_live_router_forwarded() {
+        if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
+            eprintln!("skipping router top test: loopback unavailable");
+            return;
+        }
+        let backend_options = ServeCliOptions {
+            tcp: true,
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeCliOptions::default()
+        };
+        let b0 = start_serve(&backend_options).expect("backend 0 starts");
+        let b1 = start_serve(&backend_options).expect("backend 1 starts");
+        let router_options = ServeCliOptions {
+            router_backends: vec![b0.local_addr(), b1.local_addr()],
+            ..backend_options
+        };
+        let router = start_serve(&router_options).expect("router starts");
+        let addr = router.local_addr();
+
+        // Three sessions, each created and stepped twice: nine requests,
+        // one upstream hop each.
+        let mut client = rvsim_net::TcpApiClient::new(addr);
+        for _ in 0..3 {
+            let session = match client
+                .call(&rvsim_server::Request::CreateSession {
+                    program: PROGRAM.into(),
+                    architecture: None,
+                    entry: None,
+                    session: None,
+                })
+                .unwrap()
+            {
+                rvsim_server::Response::SessionCreated { session } => session,
+                other => panic!("unexpected {other:?}"),
+            };
+            for _ in 0..2 {
+                let r = client.call(&rvsim_server::Request::Step { session, cycles: 1 }).unwrap();
+                assert!(matches!(r, rvsim_server::Response::Stepped { .. }), "{r:?}");
+            }
+        }
+
+        let families = fetch_metrics(addr).expect("valid exposition");
+        let frame = render_top(&addr.to_string(), &families, None);
+        assert!(frame.contains("2/2 backends alive, 9 forwarded, 0 upstream errors"), "{frame}");
+
+        router.shutdown();
+        b0.shutdown();
+        b1.shutdown();
+    }
+
+    #[test]
     fn tail_and_top_options_parse() {
         assert!(TailCliOptions::parse(&args(&[])).is_err(), "--addr is mandatory");
         assert!(TailCliOptions::parse(&args(&["--help"])).unwrap_err().contains("tail"));
@@ -3020,11 +2429,6 @@ demo_seconds_count{endpoint=\"step\"} 10
             "1.5"
         ]))
         .is_err());
-
-        let b = BenchCliOptions::parse(&args(&["--server", "--multi-node", "1,2,4"])).unwrap();
-        assert_eq!(b.multi_node, vec![1, 2, 4]);
-        assert!(BenchCliOptions::parse(&args(&["--multi-node", "0"])).is_err());
-        assert!(BenchCliOptions::parse(&args(&["--multi-node", ""])).is_err());
     }
 
     #[test]

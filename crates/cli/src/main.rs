@@ -173,25 +173,6 @@ fn main() {
         return;
     }
 
-    // `rvsim-cli bench ...` — pipeline throughput benchmark subcommand.
-    if args.first().map(String::as_str) == Some("bench") {
-        let options = match rvsim_cli::BenchCliOptions::parse(&args[1..]) {
-            Ok(options) => options,
-            Err(message) => {
-                eprintln!("{message}");
-                std::process::exit(2);
-            }
-        };
-        match rvsim_cli::run_bench(&options) {
-            Ok(report) => print!("{report}"),
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
     let options = match rvsim_cli::CliOptions::parse(&args) {
         Ok(options) => options,
         Err(message) => {

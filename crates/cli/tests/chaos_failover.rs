@@ -5,11 +5,11 @@
 //! hang until the next probe tick — and (b) recover every checkpointed
 //! session on the survivor.
 
+mod common;
+
+use common::{loopback_available, ServeChild};
 use rvsim_net::{http_post, TcpApiClient};
 use rvsim_server::{Request, Response};
-use std::io::BufRead;
-use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const PROGRAM: &str = "
@@ -22,51 +22,6 @@ loop:
     mv   a0, t0
     ret
 ";
-
-/// A serve child that is killed on drop, so a panicking assertion never
-/// leaks a listening process.
-struct ServeChild {
-    child: Child,
-    addr: SocketAddr,
-}
-
-impl ServeChild {
-    fn spawn(extra_args: &[&str]) -> ServeChild {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_rvsim-cli"))
-            .args(["serve", "--tcp", "--addr", "127.0.0.1:0"])
-            .args(extra_args)
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("serve child spawns");
-        let mut banner = String::new();
-        let mut reader = std::io::BufReader::new(child.stdout.take().expect("stdout piped"));
-        reader.read_line(&mut banner).expect("banner line");
-        let addr = banner
-            .split("http://")
-            .nth(1)
-            .and_then(|rest| rest.split_whitespace().next())
-            .and_then(|addr| addr.parse().ok())
-            .unwrap_or_else(|| panic!("unexpected serve banner `{}`", banner.trim()));
-        // Keep draining the child's stdout so it never blocks on a full pipe.
-        std::thread::spawn(move || for _ in reader.lines().map_while(Result::ok) {});
-        ServeChild { child, addr }
-    }
-
-    /// SIGKILL — the backend gets no chance to flush or say goodbye.
-    fn kill_dead(&mut self) {
-        self.child.kill().expect("kill -9 lands");
-        self.child.wait().expect("child reaped");
-    }
-}
-
-impl Drop for ServeChild {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
 
 fn create_session(client: &mut TcpApiClient) -> u64 {
     match client
@@ -85,8 +40,7 @@ fn create_session(client: &mut TcpApiClient) -> u64 {
 
 #[test]
 fn killed_backend_answers_promptly_and_recovers_through_the_router() {
-    if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
-        eprintln!("skipping chaos failover test: loopback unavailable");
+    if !loopback_available() {
         return;
     }
     let state_dir =

@@ -242,7 +242,12 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DecompressError> {
         return Err(DecompressError::Truncated);
     }
     let expected = u32::from_le_bytes(input[0..4].try_into().unwrap()) as usize;
-    let mut out = Vec::with_capacity(expected);
+    // The header is untrusted: reserve no more than the stream can decode
+    // to.  Past the header, each two-byte back-reference yields at most
+    // MAX_MATCH bytes and each literal byte one, so a short stream that
+    // claims gigabytes reserves next to nothing.
+    let decodable = (input.len() - 4).saturating_mul(MAX_MATCH / 2);
+    let mut out = Vec::with_capacity(expected.min(decodable));
     let mut pos = 4usize;
 
     while pos < input.len() && out.len() < expected {

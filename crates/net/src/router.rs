@@ -218,7 +218,6 @@ struct Rings {
 /// Router counters surfaced on `/metrics`.
 #[derive(Default)]
 struct RouterStats {
-    forwarded: AtomicU64,
     upstream_errors: AtomicU64,
     retries: AtomicU64,
     sessions_migrated: AtomicU64,
@@ -355,11 +354,6 @@ impl Router {
         self.stats.sessions_recovered.load(Ordering::Relaxed)
     }
 
-    /// Requests fast-failed by an open circuit breaker.
-    pub fn breaker_fast_fail_count(&self) -> u64 {
-        self.stats.breaker_fast_fails.load(Ordering::Relaxed)
-    }
-
     /// Backend addresses, in index order.
     pub fn backend_addrs(&self) -> Vec<SocketAddr> {
         self.backends.iter().map(|b| b.addr).collect()
@@ -399,7 +393,6 @@ impl Router {
         }
         let pooled = lock(&backend.pool).pop();
         let mut client = pooled.unwrap_or_else(|| TcpApiClient::new(backend.addr));
-        self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
         let hop_started = Instant::now();
         match client.call_raw_traced(body, request_id) {
             Ok(payload) => {
@@ -991,11 +984,6 @@ impl ApiHandler for Router {
         let alive = self.backends.iter().filter(|b| b.alive.load(Ordering::Acquire)).count();
         out.gauge("rvsim_router_backends", "Configured backends.", self.backends.len() as u64);
         out.gauge("rvsim_router_backends_alive", "Backends passing health probes.", alive as u64);
-        out.counter(
-            "rvsim_router_forwarded_total",
-            "Requests forwarded upstream.",
-            self.stats.forwarded.load(Ordering::Relaxed),
-        );
         out.counter(
             "rvsim_router_upstream_errors_total",
             "Upstream calls that failed.",

@@ -61,6 +61,27 @@ fn create_session(client: &mut TcpApiClient) -> u64 {
 }
 
 #[test]
+fn a_deeply_nested_body_is_an_error_at_a_backend_and_at_the_router() {
+    if !loopback_available() {
+        return;
+    }
+    let backend = start_backend();
+    let router = start_router(&[&backend]);
+    // Both tiers parse every body into a JSON tree.  Unbounded recursion
+    // would overflow a dispatch worker's stack and abort the process.
+    let body = [vec![b'['; 100_000], vec![b']'; 100_000]].concat();
+    for addr in [backend.local_addr(), router.local_addr()] {
+        let (_, payload) =
+            http_post(addr, "/api", &body, Duration::from_secs(10)).expect("the body is answered");
+        assert!(rvsim_server::is_error_payload(&payload), "{addr}: {payload:?}");
+        let mut client = TcpApiClient::new(addr);
+        assert!(create_session(&mut client) > 0, "{addr} still serves");
+    }
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
 fn router_spreads_sessions_and_proxies_the_protocol() {
     if !loopback_available() {
         return;

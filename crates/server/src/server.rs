@@ -1476,6 +1476,44 @@ loop:
     }
 
     #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| [vec![b'['; depth], vec![b']'; depth]].concat();
+        // A parser that recursed once per `[` would overflow std's default
+        // 2 MiB thread stack long before 100,000 levels and abort the whole
+        // process, not just fail this request.
+        let body = nested(100_000);
+        let answered = std::thread::spawn(move || {
+            assert!(serde_json::from_slice::<serde_json::Value>(&body).is_err());
+            decode_response(&server().handle_raw(&body)).unwrap()
+        })
+        .join()
+        .expect("the parsing thread survives");
+        assert!(answered.is_error(), "{answered:?}");
+        assert!(serde_json::from_slice::<serde_json::Value>(&nested(128)).is_ok());
+        assert!(serde_json::from_slice::<serde_json::Value>(&nested(129)).is_err());
+    }
+
+    #[test]
+    fn a_long_request_string_decodes_in_one_pass() {
+        // Decoding a string must not re-scan the rest of the body per
+        // character: that is quadratic, about 20 s of CPU for this 1 MiB
+        // program and minutes at the front end's 4 MiB body limit.
+        let program = "a".repeat(1 << 20);
+        let body = format!(r#"{{"type":"create_session","program":"{program}"}}"#);
+        let (done, decoded) = std::sync::mpsc::channel();
+        let decoder = std::thread::spawn(move || {
+            let _ =
+                done.send(serde_json::from_str::<Request>(&body).map(|request| match request {
+                    Request::CreateSession { program, .. } => program.len(),
+                    other => panic!("unexpected {other:?}"),
+                }));
+        });
+        let decoded = decoded.recv_timeout(std::time::Duration::from_secs(5));
+        assert_eq!(decoded.expect("decodes within 5 s").unwrap(), 1 << 20);
+        decoder.join().expect("the decoding thread finishes");
+    }
+
+    #[test]
     fn containerized_mode_is_slower_per_request() {
         let direct = server();
         let container = SimulationServer::new(DeploymentConfig {

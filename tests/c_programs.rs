@@ -207,6 +207,75 @@ int main(void) {
 }
 
 #[test]
+fn quicksort_workload_sorts_and_checksums() {
+    // Recursive quicksort over a 32-element extern array, the C program the
+    // paper validates the simulator with (§IV); main returns the checksum
+    // sum(a[i] * (i + 1)) of the sorted array.
+    const QUICKSORT_C: &str = "
+extern int data[];
+
+void swap(int a[], int i, int j) {
+    int t = a[i];
+    a[i] = a[j];
+    a[j] = t;
+}
+
+int partition(int a[], int lo, int hi) {
+    int pivot = a[hi];
+    int i = lo - 1;
+    for (int j = lo; j < hi; j++) {
+        if (a[j] <= pivot) {
+            i++;
+            swap(a, i, j);
+        }
+    }
+    swap(a, i + 1, hi);
+    return i + 1;
+}
+
+void quicksort(int a[], int lo, int hi) {
+    if (lo < hi) {
+        int p = partition(a, lo, hi);
+        quicksort(a, lo, p - 1);
+        quicksort(a, p + 1, hi);
+    }
+}
+
+int main(void) {
+    quicksort(data, 0, 31);
+    int sum = 0;
+    for (int i = 0; i < 32; i++) {
+        sum += data[i] * (i + 1);
+    }
+    return sum;
+}
+";
+    let input: [i64; 32] = [
+        93, 7, 55, 12, 88, 3, 41, 67, 25, 99, 4, 73, 18, 62, 31, 80, 9, 46, 58, 2, 77, 36, 14, 91,
+        28, 65, 50, 6, 84, 21, 70, 39,
+    ];
+    let mut memory = MemorySettings::new();
+    memory.add(MemoryArray {
+        name: "data".into(),
+        element: ScalarType::Word,
+        alignment: 16,
+        fill: ArrayFill::Values(input.iter().map(|&v| v as f64).collect()),
+    });
+    let output = compile(QUICKSORT_C, OptLevel::O2).expect("quicksort compiles");
+    let mut sim = Simulator::from_assembly_with_memory(
+        &output.assembly,
+        &ArchitectureConfig::default(),
+        memory,
+    )
+    .expect("assembles");
+    sim.run(50_000_000).unwrap();
+    let mut sorted = input;
+    sorted.sort_unstable();
+    let expected: i64 = sorted.iter().enumerate().map(|(i, v)| v * (i as i64 + 1)).sum();
+    assert_eq!(sim.int_register(10), expected);
+}
+
+#[test]
 fn optimization_levels_reduce_work_monotonically_in_practice() {
     // Not a hard guarantee in general, but for this kernel each level should
     // commit no more instructions than the previous one.
