@@ -1710,7 +1710,7 @@ pub fn run_with_sources(
     if options.verbose {
         out.push_str("--- debug log ---\n");
         for entry in simulator.log().entries() {
-            out.push_str(&format!("[{:>8}] {}\n", entry.cycle, entry.message));
+            out.push_str(&format!("[{:>8}] {}\n", entry.cycle, entry.event));
         }
     }
     Ok(out)

@@ -208,14 +208,14 @@ impl Cosim {
         // 5. Final memory image.  The trace records a store's *intent*; this
         // catches a commit/writeback path that put different bytes in memory
         // even when the corrupted location is never loaded again.
-        let pipeline_mem = sim.memory().memory().bytes();
-        let iss_mem = iss.memory().bytes();
-        if let Some(offset) = first_difference(pipeline_mem, iss_mem) {
+        let pipeline_mem = sim.memory().memory();
+        let iss_mem = iss.memory();
+        if let Some(offset) = pipeline_mem.first_difference(iss_mem) {
             let summary = format!(
                 "final memory differs at 0x{:x}: pipeline 0x{:02x}, ISS 0x{:02x}",
                 offset,
-                pipeline_mem.get(offset).copied().unwrap_or(0),
-                iss_mem.get(offset).copied().unwrap_or(0)
+                pipeline_mem.read(offset as u64, 1).unwrap_or(0),
+                iss_mem.read(offset as u64, 1).unwrap_or(0)
             );
             let report = self.report(source, &sim, &summary, "", sim.pc());
             return Ok(CosimOutcome::Divergence(Box::new(Divergence {
@@ -398,17 +398,6 @@ impl Cosim {
 
 /// Index of the first differing byte between two slices (length differences
 /// count as a difference at the shorter length).
-fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
-    let common = a.len().min(b.len());
-    (0..common).find(|&i| a[i] != b[i]).or({
-        if a.len() != b.len() {
-            Some(common)
-        } else {
-            None
-        }
-    })
-}
-
 /// Per-program seed derivation (splitmix64 over the batch seed and index), so
 /// one printed seed regenerates one exact program.
 pub fn derive_seed(batch_seed: u64, index: u64) -> u64 {

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised by raw memory accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,10 +40,22 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
-/// Main memory: a flat byte array with a fixed capacity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Bytes per copy-on-write page of [`MainMemory`].
+const PAGE_SIZE: usize = 1024;
+
+type Page = [u8; PAGE_SIZE];
+
+/// Main memory: a byte-addressed array with a fixed capacity.
+///
+/// The bytes live in 1 KiB pages behind `Arc`s, and every all-zero
+/// page of a new memory is one shared page.  A clone therefore shares every
+/// page and costs one pointer per page; the first write to a shared page
+/// copies that page alone.  This is what makes a simulator checkpoint cheap:
+/// a program touches a few pages between checkpoints, not the whole image.
+#[derive(Debug, Clone)]
 pub struct MainMemory {
-    data: Vec<u8>,
+    pages: Vec<Arc<Page>>,
+    capacity: usize,
     /// Enforce natural alignment on word accesses (the paper's simulator does
     /// not run misaligned code; keeping the check catches assembler bugs).
     check_alignment: bool,
@@ -55,7 +68,12 @@ impl MainMemory {
 
     /// Create a zero-filled memory of `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
-        MainMemory { data: vec![0; capacity], check_alignment: true }
+        let zero = Arc::new([0; PAGE_SIZE]);
+        MainMemory {
+            pages: vec![zero; capacity.div_ceil(PAGE_SIZE)],
+            capacity,
+            check_alignment: true,
+        }
     }
 
     /// Create a memory with the default capacity.
@@ -71,24 +89,51 @@ impl MainMemory {
 
     /// Capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.data.len()
+        self.capacity
     }
 
-    /// Borrow the raw bytes (used by dumps and the GUI memory view).
-    pub fn bytes(&self) -> &[u8] {
-        &self.data
+    /// Copy the whole memory into one flat buffer (dumps, test oracles).
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out: Vec<u8> = self.pages.iter().flat_map(|p| p.iter().copied()).collect();
+        out.truncate(self.capacity);
+        out
     }
 
-    /// Mutably borrow the raw bytes (used when loading images/dumps).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+    /// Address of the first byte at which `self` and `other` differ, or the
+    /// smaller capacity when one memory is a prefix of the other.  Pages the
+    /// two memories share are skipped without reading them.
+    pub fn first_difference(&self, other: &MainMemory) -> Option<usize> {
+        let common = self.capacity.min(other.capacity);
+        for (index, (a, b)) in self.pages.iter().zip(&other.pages).enumerate() {
+            if Arc::ptr_eq(a, b) {
+                continue;
+            }
+            if let Some(i) = (0..PAGE_SIZE).find(|&i| a[i] != b[i]) {
+                return Some((index * PAGE_SIZE + i).min(common));
+            }
+        }
+        (self.capacity != other.capacity).then_some(common)
+    }
+
+    fn byte(&self, addr: usize) -> u8 {
+        self.pages[addr / PAGE_SIZE][addr % PAGE_SIZE]
+    }
+
+    fn set_byte(&mut self, addr: usize, byte: u8) {
+        Arc::make_mut(&mut self.pages[addr / PAGE_SIZE])[addr % PAGE_SIZE] = byte;
+    }
+
+    /// Bounds check of `len` bytes at `address`; returns the first index.
+    fn check_block(&self, address: u64, len: usize) -> Result<usize, MemError> {
+        let addr = address as usize;
+        if addr.checked_add(len).map(|end| end > self.capacity).unwrap_or(true) {
+            return Err(MemError::OutOfBounds { address, size: len, capacity: self.capacity });
+        }
+        Ok(addr)
     }
 
     fn check(&self, address: u64, size: usize) -> Result<usize, MemError> {
-        let addr = address as usize;
-        if addr.checked_add(size).map(|end| end > self.data.len()).unwrap_or(true) {
-            return Err(MemError::OutOfBounds { address, size, capacity: self.data.len() });
-        }
+        let addr = self.check_block(address, size)?;
         if self.check_alignment && size > 1 && !address.is_multiple_of(size as u64) {
             return Err(MemError::Misaligned { address, size });
         }
@@ -98,9 +143,18 @@ impl MainMemory {
     /// Read `size` bytes (1, 2, 4 or 8) as a little-endian unsigned value.
     pub fn read(&self, address: u64, size: usize) -> Result<u64, MemError> {
         let addr = self.check(address, size)?;
+        let offset = addr % PAGE_SIZE;
         let mut value: u64 = 0;
-        for i in 0..size {
-            value |= (self.data[addr + i] as u64) << (8 * i);
+        if offset + size <= PAGE_SIZE {
+            let page = &self.pages[addr / PAGE_SIZE];
+            for i in 0..size {
+                value |= (page[offset + i] as u64) << (8 * i);
+            }
+        } else {
+            // An unaligned access (alignment checking off) crossing a page.
+            for i in 0..size {
+                value |= (self.byte(addr + i) as u64) << (8 * i);
+            }
         }
         Ok(value)
     }
@@ -108,32 +162,38 @@ impl MainMemory {
     /// Write the low `size` bytes of `value` little-endian.
     pub fn write(&mut self, address: u64, size: usize, value: u64) -> Result<(), MemError> {
         let addr = self.check(address, size)?;
-        for i in 0..size {
-            self.data[addr + i] = (value >> (8 * i)) as u8;
+        let offset = addr % PAGE_SIZE;
+        if offset + size <= PAGE_SIZE {
+            let page = Arc::make_mut(&mut self.pages[addr / PAGE_SIZE]);
+            for i in 0..size {
+                page[offset + i] = (value >> (8 * i)) as u8;
+            }
+        } else {
+            for i in 0..size {
+                self.set_byte(addr + i, (value >> (8 * i)) as u8);
+            }
         }
         Ok(())
     }
 
     /// Read a block of bytes.
-    pub fn read_bytes(&self, address: u64, len: usize) -> Result<&[u8], MemError> {
-        let addr = address as usize;
-        if addr.checked_add(len).map(|end| end > self.data.len()).unwrap_or(true) {
-            return Err(MemError::OutOfBounds { address, size: len, capacity: self.data.len() });
-        }
-        Ok(&self.data[addr..addr + len])
+    pub fn read_bytes(&self, address: u64, len: usize) -> Result<Vec<u8>, MemError> {
+        let addr = self.check_block(address, len)?;
+        Ok((addr..addr + len).map(|a| self.byte(a)).collect())
     }
 
     /// Write a block of bytes.
     pub fn write_bytes(&mut self, address: u64, bytes: &[u8]) -> Result<(), MemError> {
-        let addr = address as usize;
-        if addr.checked_add(bytes.len()).map(|end| end > self.data.len()).unwrap_or(true) {
-            return Err(MemError::OutOfBounds {
-                address,
-                size: bytes.len(),
-                capacity: self.data.len(),
-            });
+        let mut addr = self.check_block(address, bytes.len())?;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let offset = addr % PAGE_SIZE;
+            let n = rest.len().min(PAGE_SIZE - offset);
+            Arc::make_mut(&mut self.pages[addr / PAGE_SIZE])[offset..offset + n]
+                .copy_from_slice(&rest[..n]);
+            addr += n;
+            rest = &rest[n..];
         }
-        self.data[addr..addr + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
 
@@ -158,17 +218,18 @@ impl MainMemory {
     }
 
     /// Produce a hex dump of `len` bytes starting at `address`, 16 bytes per
-    /// line — the memory pop-up view of Fig. 2.
+    /// line — the memory pop-up view of Fig. 2.  The range is clipped to the
+    /// capacity, so any `len` is accepted.
     pub fn hex_dump(&self, address: u64, len: usize) -> String {
         let mut out = String::new();
         let start = address as usize;
-        let end = (start + len).min(self.data.len());
+        let end = start.saturating_add(len).min(self.capacity);
         let mut offset = start;
         while offset < end {
             let row_end = (offset + 16).min(end);
             out.push_str(&format!("{offset:08x}:"));
-            for b in &self.data[offset..row_end] {
-                out.push_str(&format!(" {b:02x}"));
+            for a in offset..row_end {
+                out.push_str(&format!(" {:02x}", self.byte(a)));
             }
             out.push('\n');
             offset = row_end;
@@ -205,7 +266,7 @@ mod tests {
     fn little_endian_layout() {
         let mut m = MainMemory::new(16);
         m.write(0, 4, 0x0102_0304).unwrap();
-        assert_eq!(m.bytes()[0..4], [0x04, 0x03, 0x02, 0x01]);
+        assert_eq!(m.read_bytes(0, 4).unwrap(), [0x04, 0x03, 0x02, 0x01]);
         assert_eq!(m.read(0, 2).unwrap(), 0x0304);
     }
 
@@ -251,6 +312,60 @@ mod tests {
         let dump = m.hex_dump(0, 20);
         assert!(dump.starts_with("00000000: de ad"));
         assert_eq!(dump.lines().count(), 2);
+    }
+
+    #[test]
+    fn hex_dump_clips_a_length_past_the_end() {
+        let mut m = MainMemory::new(64);
+        m.write_bytes(0x10, &[0xaa; 0x30]).unwrap();
+        let dump = m.hex_dump(16, usize::MAX);
+        let rows: Vec<&str> = dump.lines().collect();
+        assert_eq!(rows.len(), 3);
+        assert!(rows[0].starts_with("00000010: aa"));
+        assert!(rows[2].starts_with("00000030: aa"));
+        assert_eq!(dump.matches(" aa").count(), 0x30, "bytes 0x10-0x3f, nothing else");
+    }
+
+    #[test]
+    fn capacities_below_one_page_keep_exact_bounds() {
+        for capacity in [16usize, 128, PAGE_SIZE + 8] {
+            let mut m = MainMemory::new(capacity);
+            let last = capacity as u64 - 4;
+            m.write(last, 4, 0x0102_0304).unwrap();
+            assert_eq!(m.read(last, 4).unwrap(), 0x0102_0304);
+            assert!(matches!(m.read(last + 4, 1), Err(MemError::OutOfBounds { .. })));
+            assert!(matches!(m.write(last + 4, 4, 0), Err(MemError::OutOfBounds { .. })));
+            assert!(m.write_bytes(last + 1, &[0; 4]).is_err());
+            assert_eq!(m.to_vec().len(), capacity);
+            assert_eq!(m.hex_dump(0, usize::MAX).lines().count(), capacity.div_ceil(16));
+        }
+    }
+
+    #[test]
+    fn unaligned_access_may_cross_a_page() {
+        let mut m = MainMemory::new(4 * PAGE_SIZE);
+        m.set_check_alignment(false);
+        let addr = PAGE_SIZE as u64 - 3;
+        m.write(addr, 8, 0x0123_4567_89ab_cdef).unwrap();
+        assert_eq!(m.read(addr, 8).unwrap(), 0x0123_4567_89ab_cdef);
+        assert_eq!(m.read(PAGE_SIZE as u64, 4).unwrap(), 0x0123_4567_89ab_cdef >> 24 & 0xffff_ffff);
+        m.write_bytes(2 * PAGE_SIZE as u64 - 2, b"span").unwrap();
+        assert_eq!(m.read_bytes(2 * PAGE_SIZE as u64 - 2, 4).unwrap(), b"span");
+    }
+
+    #[test]
+    fn a_clone_shares_pages_until_one_side_writes() {
+        let mut a = MainMemory::new(8 * PAGE_SIZE);
+        a.write(3 * PAGE_SIZE as u64, 4, 7).unwrap();
+        let mut b = a.clone();
+        assert_eq!(a.first_difference(&b), None);
+        assert!(a.pages.iter().zip(&b.pages).all(|(x, y)| Arc::ptr_eq(x, y)));
+        b.write(5 * PAGE_SIZE as u64 + 8, 4, 9).unwrap();
+        let copied = a.pages.iter().zip(&b.pages).filter(|(x, y)| !Arc::ptr_eq(x, y)).count();
+        assert_eq!(copied, 1, "one write copies one page");
+        assert_eq!(a.read(5 * PAGE_SIZE as u64 + 8, 4).unwrap(), 0, "the original is untouched");
+        assert_eq!(a.first_difference(&b), Some(5 * PAGE_SIZE + 8));
+        assert_eq!(MainMemory::new(16).first_difference(&MainMemory::new(32)), Some(16));
     }
 
     #[test]

@@ -348,7 +348,7 @@ mod tests {
         assert_eq!(placed[1].address, 16, "second array aligned up to 16");
         assert_eq!(mem.read_u32(16).unwrap(), 10);
         assert_eq!(mem.read_u32(20).unwrap(), 20);
-        assert_eq!(mem.bytes()[4..7], [1, 2, 3]);
+        assert_eq!(mem.read_bytes(4, 3).unwrap(), [1, 2, 3]);
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl MemStats {
 }
 
 /// Main memory plus optional L1 cache, accessed through transactions.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemorySubsystem {
     memory: MainMemory,
     cache: Option<Cache>,

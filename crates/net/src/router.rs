@@ -354,11 +354,6 @@ impl Router {
         self.stats.sessions_recovered.load(Ordering::Relaxed)
     }
 
-    /// Backend addresses, in index order.
-    pub fn backend_addrs(&self) -> Vec<SocketAddr> {
-        self.backends.iter().map(|b| b.addr).collect()
-    }
-
     /// Where the place ring would put `session` right now.  Benchmarks and
     /// tests use this to pick explicit session ids with a known, balanced
     /// placement.

@@ -12,7 +12,7 @@ use crate::instruction::{InstrId, SimCode};
 use std::collections::VecDeque;
 
 /// Ring of in-flight instructions keyed by their sequential [`InstrId`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct InFlightRing {
     /// Id of `slots[0]`.
     base: InstrId,

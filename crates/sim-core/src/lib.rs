@@ -54,10 +54,10 @@ pub use config::{
 };
 pub use inflight::InFlightRing;
 pub use instruction::{InstrId, InstructionState, SimCode};
-pub use log::DebugLog;
+pub use log::{DebugLog, LogEntry, LogEvent};
 pub use predecode::{LatencyClass, PredecodedInstr, PredecodedProgram};
 pub use register_file::{PhysRegTag, RegisterFile};
-pub use simulator::{HaltReason, RunResult, Simulator};
+pub use simulator::{HaltReason, RunResult, Simulator, CHECKPOINT_INTERVAL};
 pub use snapshot::{
     CacheLineView, HeadlineStats, InstructionView, ProcessorSnapshot, RegisterView, SnapshotBuffer,
     SnapshotDelta,

@@ -12,11 +12,18 @@
 //! is an array index, execution runs compiled semantics expressions, and the
 //! in-flight window lives in a ring ([`crate::inflight::InFlightRing`])
 //! instead of a `BTreeMap`.
+//!
+//! Everything fixed at construction (configuration, program, predecoded
+//! table, static mix) sits behind one shared [`Arc`], and main memory is
+//! copy-on-write pages, so a clone of a simulator copies only its mutable
+//! pipeline state.  Backward stepping builds on that: [`Simulator::step_back_by`]
+//! keeps clones ("checkpoints") of states its own replay passes, restores the
+//! nearest one at or below its target and replays only the gap.
 
 use crate::config::{ArchitectureConfig, FpUnitConfig, FxUnitConfig};
 use crate::inflight::InFlightRing;
 use crate::instruction::{DestOperand, InstrId, InstructionState, SimCode, SourceOperand};
-use crate::log::DebugLog;
+use crate::log::{DebugLog, LogEvent};
 use crate::predecode::{DescSemantics, LatencyClass, PredecodedInstr, PredecodedProgram};
 use crate::register_file::{DestRename, OperandRead, RegisterFile};
 use crate::stats::{SimulationStatistics, UnitUtilization};
@@ -59,13 +66,47 @@ pub struct RunResult {
     pub statistics: SimulationStatistics,
 }
 
-/// The complete processor simulator.
+/// What a simulator shares with its clones and checkpoints: everything fixed
+/// at construction.
 #[derive(Debug)]
-pub struct Simulator {
+struct Image {
     config: ArchitectureConfig,
     program: Program,
-    predecoded: Arc<PredecodedProgram>,
-    initial_memory: Vec<u8>,
+    predecoded: PredecodedProgram,
+    /// Static instruction mix, added to every [`Simulator::statistics`].
+    static_mix: BTreeMap<String, u64>,
+    /// First pc past the program; also the return address of the entry routine.
+    program_end: u64,
+}
+
+/// Cycles between the checkpoints a step back keeps (see
+/// [`Simulator::step_back_by`]).  A step back replays fewer than this many
+/// cycles once a checkpoint below its target exists.
+pub const CHECKPOINT_INTERVAL: u64 = 256;
+
+/// True when a step back to `target` keeps the checkpoint at `cycle`: for
+/// each level `j`, the one at the largest multiple of
+/// `CHECKPOINT_INTERVAL * 2^j` at or below `target`.  Checkpoints are dense
+/// near the target and thin out geometrically behind it, about
+/// `log2(target / CHECKPOINT_INTERVAL)` in all.
+fn keeps_checkpoint(cycle: u64, target: u64) -> bool {
+    if cycle == 0 || cycle > target || !cycle.is_multiple_of(CHECKPOINT_INTERVAL) {
+        return false;
+    }
+    // `cycle` belongs to every level whose spacing divides it; the widest of
+    // them (spacing `CHECKPOINT_INTERVAL << zeros`) reaches furthest.
+    let zeros = (cycle / CHECKPOINT_INTERVAL).trailing_zeros();
+    (target - cycle) >> zeros < CHECKPOINT_INTERVAL
+}
+
+/// The complete processor simulator.
+///
+/// A clone shares the program image, every unwritten memory page and the
+/// step-back checkpoints with the original, so it costs about one copy of
+/// the pipeline state.
+#[derive(Debug, Clone)]
+pub struct Simulator {
+    image: Arc<Image>,
 
     mem: MemorySubsystem,
     regs: RegisterFile,
@@ -99,11 +140,13 @@ pub struct Simulator {
     /// mnemonic strings only in [`Simulator::statistics`].
     dyn_mix: Vec<u64>,
     log: DebugLog,
-    program_end: u64,
-    stack_top: u64,
 
     trace_enabled: bool,
     retire_log: Vec<RetireEvent>,
+
+    /// States of this run at earlier cycles, oldest first; the first is the
+    /// cycle-0 state.  A checkpoint holds no checkpoints of its own.
+    checkpoints: Vec<Arc<Simulator>>,
 }
 
 impl Simulator {
@@ -126,7 +169,7 @@ impl Simulator {
         program.validate_against(&isa)?;
         // Decode once: every later fetch (including mispredict replays and
         // `step_back` re-simulation) is an array index into this table.
-        let predecoded = Arc::new(PredecodedProgram::new(&program, &isa)?);
+        let predecoded = PredecodedProgram::new(&program, &isa)?;
 
         let mut mem = MemorySubsystem::new(
             config.memory.memory_capacity,
@@ -150,10 +193,25 @@ impl Simulator {
 
         let program_end = program.len() as u64 * 4;
         let stack_top = config.memory.call_stack_size;
+        let pc = program.entry_point;
+        let dyn_mix = vec![0; predecoded.descriptor_count()];
+        let static_mix =
+            program.static_mix().into_iter().map(|(mnemonic, n)| (mnemonic, n as u64)).collect();
+
+        let mut regs = RegisterFile::new(config.memory.rename_file_size);
+        // Register ABI state: sp at the top of the call stack, ra at the exit
+        // sentinel so that `ret` from the entry routine ends the simulation.
+        regs.write_arch(
+            RegisterId::sp(),
+            RegisterValue::from_typed(TypedValue::int(stack_top as i32)),
+        );
+        regs.write_arch(
+            RegisterId::ra(),
+            RegisterValue::from_typed(TypedValue::int(program_end as i32)),
+        );
 
         let mut sim = Simulator {
-            initial_memory: mem.memory().bytes().to_vec(),
-            regs: RegisterFile::new(config.memory.rename_file_size),
+            regs,
             predictor: BranchPredictor::new(config.predictor.clone())?,
             rob: ReorderBuffer::new(config.buffers.rob_size),
             fx_window: IssueWindow::new("FX issue window", config.buffers.issue_window_size),
@@ -187,7 +245,7 @@ impl Simulator {
             store_buffer: StoreBuffer::new(config.memory.store_buffer_size),
             in_flight: InFlightRing::new(1),
             fetch_buffer: VecDeque::new(),
-            pc: program.entry_point,
+            pc,
             cycle: 0,
             next_id: 1,
             fetch_stall_until: 0,
@@ -198,24 +256,24 @@ impl Simulator {
                 core_clock_hz: config.core_clock_hz,
                 ..Default::default()
             },
-            dyn_mix: vec![0; predecoded.descriptor_count()],
+            dyn_mix,
             log: DebugLog::new(),
-            program_end,
-            stack_top,
             trace_enabled: false,
             retire_log: Vec::new(),
             mem,
-            config: config.clone(),
-            predecoded,
-            program,
+            image: Arc::new(Image {
+                config: config.clone(),
+                program,
+                predecoded,
+                static_mix,
+                program_end,
+            }),
+            checkpoints: Vec::new(),
         };
-        // Static instruction mix is known up front.
-        for (mnemonic, count) in sim.program.static_mix() {
-            sim.stats.static_mix.insert(mnemonic, count as u64);
-        }
-        // Register ABI state: sp at the top of the call stack, ra at the exit
-        // sentinel so that `ret` from the entry routine ends the simulation.
-        sim.init_registers();
+        // The cycle-0 state is the oldest checkpoint: `reset` restores it,
+        // and so does a step back with no nearer checkpoint.
+        let origin = Arc::new(sim.clone());
+        sim.checkpoints.push(origin);
         Ok(sim)
     }
 
@@ -251,32 +309,21 @@ impl Simulator {
         Self::with_memory(program, config, memory_settings)
     }
 
-    fn init_registers(&mut self) {
-        self.regs.write_arch(
-            RegisterId::sp(),
-            RegisterValue::from_typed(TypedValue::int(self.stack_top as i32)),
-        );
-        self.regs.write_arch(
-            RegisterId::ra(),
-            RegisterValue::from_typed(TypedValue::int(self.program_end as i32)),
-        );
-    }
-
     // ----------------------------------------------------------------- access
 
     /// The architecture configuration in use.
     pub fn config(&self) -> &ArchitectureConfig {
-        &self.config
+        &self.image.config
     }
 
     /// The assembled program being executed.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.image.program
     }
 
     /// The predecoded form of the program (decode-once fetch table).
     pub fn predecoded(&self) -> &PredecodedProgram {
-        &self.predecoded
+        &self.image.predecoded
     }
 
     /// Current cycle number.
@@ -337,9 +384,13 @@ impl Simulator {
     /// Enable or disable the retirement trace.  Enabling clears any events
     /// recorded so far; with the trace on, every committed instruction
     /// appends a [`RetireEvent`] describing its architectural effects.
+    ///
+    /// Checkpoints hold the trace recorded under the switch they were taken
+    /// with, so every checkpoint but the cycle-0 state is dropped.
     pub fn set_retirement_trace(&mut self, enabled: bool) {
         self.trace_enabled = enabled;
         self.retire_log.clear();
+        self.checkpoints.truncate(1);
     }
 
     /// Events recorded since the trace was enabled (or the last reset).
@@ -389,13 +440,14 @@ impl Simulator {
     /// `DescriptorId`-keyed dynamic mix becomes mnemonic-keyed.
     pub fn statistics(&self) -> SimulationStatistics {
         let mut s = self.stats.clone();
+        s.static_mix = self.image.static_mix.clone();
         s.cycles = self.cycle;
         s.predictor = *self.predictor.stats();
         s.memory = *self.mem.stats();
         s.dynamic_mix = BTreeMap::new();
         for (index, &count) in self.dyn_mix.iter().enumerate() {
             if count > 0 {
-                let name = self.predecoded.name(rvsim_isa::DescriptorId(index as u16));
+                let name = self.image.predecoded.name(rvsim_isa::DescriptorId(index as u16));
                 s.dynamic_mix.insert(name.as_str().to_string(), count);
             }
         }
@@ -438,84 +490,57 @@ impl Simulator {
     }
 
     /// Restart the simulation from cycle 0 with the same program,
-    /// configuration and initial memory contents.
+    /// configuration and initial memory contents: restore the cycle-0 state.
+    /// The retirement-trace switch and the checkpoints are kept.
     pub fn reset(&mut self) {
-        self.mem = MemorySubsystem::new(
-            self.config.memory.memory_capacity,
-            self.config.cache.clone(),
-            self.config.memory.timings,
-        )
-        .expect("configuration already validated");
-        self.mem
-            .memory_mut()
-            .write_bytes(0, &self.initial_memory)
-            .expect("initial image fits by construction");
-        self.regs = RegisterFile::new(self.config.memory.rename_file_size);
-        self.predictor.reset();
-        self.rob = ReorderBuffer::new(self.config.buffers.rob_size);
-        let iw = self.config.buffers.issue_window_size;
-        self.fx_window = IssueWindow::new("FX issue window", iw);
-        self.fp_window = IssueWindow::new("FP issue window", iw);
-        self.ls_window = IssueWindow::new("L/S issue window", iw);
-        self.branch_window = IssueWindow::new("Branch issue window", iw);
-        for (u, _) in &mut self.fx_units {
-            u.reset();
-        }
-        for (u, _) in &mut self.fp_units {
-            u.reset();
-        }
-        for u in &mut self.ls_units {
-            u.reset();
-        }
-        for u in &mut self.branch_units {
-            u.reset();
-        }
-        self.load_buffer = LoadBuffer::new(self.config.memory.load_buffer_size);
-        self.store_buffer = StoreBuffer::new(self.config.memory.store_buffer_size);
-        self.in_flight.reset(1);
-        self.fetch_buffer.clear();
-        self.pc = self.program.entry_point;
-        self.cycle = 0;
-        self.next_id = 1;
-        self.fetch_stall_until = 0;
-        self.mem_issues_this_cycle = 0;
-        self.halted = None;
-        self.main_returned = false;
-        let static_mix = std::mem::take(&mut self.stats.static_mix);
-        self.stats = SimulationStatistics {
-            core_clock_hz: self.config.core_clock_hz,
-            static_mix,
-            ..Default::default()
-        };
-        self.dyn_mix.fill(0);
-        self.log.clear();
-        // The trace must restart from scratch so that a reset + replay (and
-        // therefore `step_back`) reproduces the original event stream instead
-        // of appending to it.
-        self.retire_log.clear();
-        self.init_registers();
+        let origin = Arc::clone(&self.checkpoints[0]);
+        self.restore(&origin);
     }
 
-    /// Step one cycle backwards.  As in the paper (§III-B) this is implemented
-    /// as a deterministic forward re-simulation of `cycle − 1` cycles — every
-    /// re-fetched instruction is an index into the predecoded table, so the
-    /// replay does no decoding at all.
+    /// Replace the simulation state with `checkpoint`'s, keeping this
+    /// simulator's checkpoints and trace switch.
+    fn restore(&mut self, checkpoint: &Simulator) {
+        let checkpoints = std::mem::take(&mut self.checkpoints);
+        let trace_enabled = self.trace_enabled;
+        *self = checkpoint.clone();
+        self.checkpoints = checkpoints;
+        self.trace_enabled = trace_enabled;
+    }
+
+    /// Step one cycle backwards.  As in the paper (§III-B) this is a
+    /// deterministic forward re-simulation — see
+    /// [`step_back_by`](Self::step_back_by) for where it starts from.
     pub fn step_back(&mut self) {
         self.step_back_by(1);
     }
 
-    /// Step `cycles` cycles backwards (stopping at cycle 0) with one reset
-    /// and one replay: the same state as `cycles` calls of
-    /// [`step_back`](Self::step_back), at the cost of one.
+    /// Step `cycles` cycles backwards (stopping at cycle 0): the same state
+    /// as `cycles` calls of [`step_back`](Self::step_back), with one replay.
+    ///
+    /// The replay starts from the nearest checkpoint at or below the target
+    /// cycle `t`, and clones the states it passes that the retention rule
+    /// keeps: for each level `j >= 0`, the one at the largest multiple of
+    /// [`CHECKPOINT_INTERVAL`]` * 2^j` at or below `t`.  Every other
+    /// checkpoint is dropped.  A session's first step back therefore replays
+    /// from cycle 0; later ones near the same cycles replay fewer than
+    /// [`CHECKPOINT_INTERVAL`] cycles.  Forward `step` and `run` never take
+    /// checkpoints.
     pub fn step_back_by(&mut self, cycles: u64) {
         if cycles == 0 {
             return;
         }
         let target = self.cycle.saturating_sub(cycles);
-        self.reset();
-        for _ in 0..target {
+        self.checkpoints.retain(|c| c.cycle == 0 || keeps_checkpoint(c.cycle, target));
+        let nearest = Arc::clone(self.checkpoints.last().expect("the cycle-0 state is kept"));
+        self.restore(&nearest);
+        let mut checkpoints = std::mem::take(&mut self.checkpoints);
+        while self.cycle < target && self.halted.is_none() {
             self.step();
+            if keeps_checkpoint(self.cycle, target) {
+                checkpoints.push(Arc::new(self.clone()));
+            }
         }
+        self.checkpoints = checkpoints;
     }
 
     /// Advance the simulation by one clock cycle.
@@ -526,20 +551,21 @@ impl Simulator {
         let cycle = self.cycle;
         self.mem_issues_this_cycle = 0;
 
-        // One shared handle to the predecoded table for the whole cycle;
-        // the stages borrow it so the hot loop does no refcount traffic.
-        let pp = Arc::clone(&self.predecoded);
+        // One shared handle to the image for the whole cycle; the stages
+        // borrow its predecoded table so the hot loop does no refcount traffic.
+        let image = Arc::clone(&self.image);
+        let pp = &image.predecoded;
 
-        self.stage_commit(&pp, cycle);
+        self.stage_commit(pp, cycle);
         if self.halted.is_some() {
             self.cycle += 1;
             return;
         }
-        self.stage_writeback(&pp, cycle);
-        self.stage_memory(&pp, cycle);
+        self.stage_writeback(pp, cycle);
+        self.stage_memory(pp, cycle);
         self.stage_issue(cycle);
-        self.stage_dispatch(&pp, cycle);
-        self.stage_fetch(&pp, cycle);
+        self.stage_dispatch(pp, cycle);
+        self.stage_fetch(pp, cycle);
 
         self.cycle += 1;
         self.check_end_of_program();
@@ -548,7 +574,7 @@ impl Simulator {
     // ---------------------------------------------------------------- commit
 
     fn stage_commit(&mut self, pp: &PredecodedProgram, cycle: u64) {
-        for _ in 0..self.config.buffers.commit_width {
+        for _ in 0..self.image.config.buffers.commit_width {
             let Some(head) = self.rob.head() else { break };
             let Some(code) = self.in_flight.get(head) else { break };
             if !code.is_done() {
@@ -561,7 +587,10 @@ impl Simulator {
 
             // Exceptions are raised at commit (paper §III-B).
             if let Some(exception) = code.exception.clone() {
-                self.log.push(cycle, format!("exception at pc 0x{:x}: {}", code.pc, exception));
+                self.log.push(
+                    cycle,
+                    LogEvent::Exception { pc: code.pc, exception: Box::new(exception.clone()) },
+                );
                 self.halted = Some(HaltReason::Exception(exception));
                 code.state = InstructionState::Committed;
                 code.timestamps.commit = Some(cycle);
@@ -589,7 +618,7 @@ impl Simulator {
                     }
                     Err(e) => {
                         let exception = Exception::InvalidAddress { address };
-                        self.log.push(cycle, format!("store fault at 0x{address:x}: {e}"));
+                        self.log.push(cycle, LogEvent::StoreFault { address, error: Box::new(e) });
                         self.halted = Some(HaltReason::Exception(exception));
                         return;
                     }
@@ -620,7 +649,7 @@ impl Simulator {
                 } else {
                     self.stats.jumps += 1;
                 }
-                if code.actual_next_pc == Some(self.program_end) {
+                if code.actual_next_pc == Some(self.image.program_end) {
                     self.main_returned = true;
                 }
             }
@@ -810,10 +839,12 @@ impl Simulator {
             code.mispredicted = true;
             self.log.push(
                 cycle,
-                format!(
-                    "mispredicted {} at 0x{:x}: predicted 0x{:x}, actual 0x{:x}",
-                    code.mnemonic, code.pc, code.predicted_next_pc, actual_next
-                ),
+                LogEvent::Mispredict {
+                    mnemonic: code.mnemonic,
+                    pc: code.pc,
+                    predicted: code.predicted_next_pc,
+                    actual: actual_next,
+                },
             );
             self.flush_after(code.id, actual_next, cycle);
         }
@@ -946,7 +977,7 @@ impl Simulator {
         self.store_buffer.retain(|e| e.id <= id);
 
         self.pc = redirect;
-        self.fetch_stall_until = cycle + 1 + self.config.buffers.flush_penalty;
+        self.fetch_stall_until = cycle + 1 + self.image.config.buffers.flush_penalty;
         self.stats.rob_flushes += 1;
     }
 
@@ -1012,7 +1043,7 @@ impl Simulator {
             }
             if let Some(value) = forward {
                 actions.push((entry.id, Action::Forward(value)));
-            } else if self.mem_issues_this_cycle < self.config.units.memory_units {
+            } else if self.mem_issues_this_cycle < self.image.config.units.memory_units {
                 actions.push((entry.id, Action::Issue));
                 self.mem_issues_this_cycle += 1;
             }
@@ -1135,7 +1166,7 @@ impl Simulator {
                 .iter()
                 .find(|&id| self.in_flight.get(id).map(|c| c.sources_ready()).unwrap_or(false));
             if let Some(id) = pick {
-                let latency = self.config.units.ls_latency;
+                let latency = self.image.config.units.ls_latency;
                 self.ls_window.remove(id);
                 self.ls_units[i].start(id, cycle, latency);
                 let code = self.in_flight.get_mut(id).unwrap();
@@ -1153,7 +1184,7 @@ impl Simulator {
                 .iter()
                 .find(|&id| self.in_flight.get(id).map(|c| c.sources_ready()).unwrap_or(false));
             if let Some(id) = pick {
-                let latency = self.config.units.branch_latency;
+                let latency = self.image.config.units.branch_latency;
                 self.branch_window.remove(id);
                 self.branch_units[i].start(id, cycle, latency);
                 let code = self.in_flight.get_mut(id).unwrap();
@@ -1166,7 +1197,7 @@ impl Simulator {
     // -------------------------------------------------------------- dispatch
 
     fn stage_dispatch(&mut self, pp: &PredecodedProgram, cycle: u64) {
-        for _ in 0..self.config.buffers.fetch_width {
+        for _ in 0..self.image.config.buffers.fetch_width {
             let Some(&id) = self.fetch_buffer.front() else { break };
             let Some(code) = self.in_flight.get(id) else {
                 self.fetch_buffer.pop_front();
@@ -1282,14 +1313,14 @@ impl Simulator {
         if cycle < self.fetch_stall_until {
             return;
         }
-        let width = self.config.buffers.fetch_width;
+        let width = self.image.config.buffers.fetch_width;
         let buffer_capacity = width * 2;
         let mut fetched = 0;
         let mut branches_followed = 0;
         let mut pc = self.pc;
 
         while fetched < width && self.fetch_buffer.len() < buffer_capacity {
-            if pc >= self.program_end {
+            if pc >= self.image.program_end {
                 break;
             }
             // The predecoded table replaces the seed's program lookup,
@@ -1337,7 +1368,7 @@ impl Simulator {
             pc = next;
             if redirected {
                 branches_followed += 1;
-                if branches_followed >= self.config.buffers.branch_follow_limit {
+                if branches_followed >= self.image.config.buffers.branch_follow_limit {
                     break;
                 }
             }
@@ -1349,13 +1380,14 @@ impl Simulator {
         if self.halted.is_some() {
             return;
         }
-        if self.rob.is_empty() && self.fetch_buffer.is_empty() && self.pc >= self.program_end {
+        if self.rob.is_empty() && self.fetch_buffer.is_empty() && self.pc >= self.image.program_end
+        {
             self.halted = Some(if self.main_returned {
                 HaltReason::MainReturned
             } else {
                 HaltReason::PipelineEmpty
             });
-            self.log.push(self.cycle, "simulation finished: pipeline empty");
+            self.log.push(self.cycle, LogEvent::PipelineEmpty);
         }
     }
 }
@@ -1752,6 +1784,65 @@ mod tests {
         assert_eq!(sim.int_register(10), 31);
         assert_eq!(first.cycles, second.cycles, "deterministic re-execution");
         assert_eq!(first.statistics, second.statistics);
+    }
+
+    /// Runs far past any cycle the checkpoint tests reach.
+    const LONG_LOOP: &str = "
+        main:
+            li   t0, 1000000
+            li   a0, 0
+        loop:
+            addi a0, a0, 1
+            addi t0, t0, -1
+            bnez t0, loop
+            ret
+    ";
+
+    fn checkpoint_cycles(sim: &Simulator) -> Vec<u64> {
+        sim.checkpoints.iter().map(|c| c.cycle).collect()
+    }
+
+    #[test]
+    fn retention_keeps_one_checkpoint_per_level() {
+        assert!(keeps_checkpoint(15_872, 16_000) && keeps_checkpoint(8_192, 16_000));
+        assert!(!keeps_checkpoint(15_616, 16_000), "a second checkpoint at the finest level");
+        assert!(!keeps_checkpoint(0, 16_000) && !keeps_checkpoint(16_128, 16_000));
+        let kept: Vec<u64> =
+            (1..=64).map(|k| k * 256).filter(|&c| keeps_checkpoint(c, 16_000)).collect();
+        assert_eq!(kept, [8_192, 12_288, 14_336, 15_360, 15_872]);
+
+        let mut sim = Simulator::from_assembly(LONG_LOOP, &ArchitectureConfig::default()).unwrap();
+        assert_eq!(checkpoint_cycles(&sim), [0], "stepping takes none");
+        sim.run(16_001).unwrap();
+        assert_eq!(checkpoint_cycles(&sim).len(), 1, "running takes none");
+        sim.step_back();
+        assert_eq!(sim.cycle(), 16_000);
+        assert_eq!(checkpoint_cycles(&sim), [0, 8_192, 12_288, 14_336, 15_360, 15_872]);
+        // Stepping back again near the same cycle reuses them.
+        sim.step();
+        sim.step_back();
+        assert_eq!(checkpoint_cycles(&sim), [0, 8_192, 12_288, 14_336, 15_360, 15_872]);
+        sim.step_back_by(4_000);
+        assert_eq!(checkpoint_cycles(&sim), [0, 8_192, 10_240, 11_264, 11_776]);
+    }
+
+    #[test]
+    fn reset_keeps_checkpoints_and_a_trace_toggle_drops_them() {
+        let mut sim = Simulator::from_assembly(LONG_LOOP, &ArchitectureConfig::default()).unwrap();
+        for _ in 0..1_000 {
+            sim.step();
+        }
+        sim.step_back();
+        assert_eq!(checkpoint_cycles(&sim), [0, 512, 768]);
+        sim.reset();
+        assert_eq!(sim.cycle(), 0);
+        assert_eq!(checkpoint_cycles(&sim).len(), 3, "reset restores cycle 0 and keeps the rest");
+        sim.set_retirement_trace(true);
+        assert_eq!(checkpoint_cycles(&sim), [0]);
+        sim.run(900).unwrap();
+        sim.step_back_by(100);
+        assert_eq!(sim.retirement_trace().len() as u64, sim.statistics().committed);
+        assert_eq!(sim.retirement_trace()[0].seq, 0, "the trace restarts at cycle 0");
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn main() {
     println!("first pipeline flush observed at cycle {flush_cycle}");
     println!("log entries so far:");
     for entry in sim.log().entries() {
-        println!("  [{:>4}] {}", entry.cycle, entry.message);
+        println!("  [{:>4}] {}", entry.cycle, entry.event);
     }
 
     // Walk backwards over the five cycles leading up to the flush and show

@@ -16,7 +16,7 @@ fn arch_state(sim: &Simulator) -> (u64, u64, Vec<u64>, Vec<u8>) {
     for i in 0..32u8 {
         regs.push(sim.register(RegisterId::f(i)).bits);
     }
-    (sim.cycle(), sim.pc(), regs, sim.memory().memory().bytes().to_vec())
+    (sim.cycle(), sim.pc(), regs, sim.memory().memory().to_vec())
 }
 
 fn generated(seed: u64) -> String {
