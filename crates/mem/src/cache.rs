@@ -284,20 +284,6 @@ impl Cache {
         }
         CacheAccessResult { hit: false, extra_latency: extra, writeback, evicted }
     }
-
-    /// Invalidate all lines and reset statistics (used when the simulation is
-    /// restarted, e.g. by backward stepping).
-    pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = CacheLine::default();
-            }
-        }
-        self.rng = StdRng::seed_from_u64(0x5eed);
-        self.accesses = 0;
-        self.hits = 0;
-        self.writebacks = 0;
-    }
 }
 
 #[cfg(test)]
@@ -372,11 +358,11 @@ mod tests {
     }
 
     #[test]
-    fn random_replacement_is_deterministic_across_resets() {
+    fn random_replacement_is_deterministic_for_one_config() {
         let mut config = cfg(4, 16, 4);
         config.replacement = ReplacementPolicy::Random;
-        let mut c = Cache::new(config).unwrap();
-        fn run(c: &mut Cache) -> Vec<u64> {
+        fn run(config: &CacheConfig) -> Vec<u64> {
+            let mut c = Cache::new(config.clone()).unwrap();
             let mut evictions = Vec::new();
             for i in 0..32u64 {
                 let r = c.access(i * 16, false, i);
@@ -386,10 +372,9 @@ mod tests {
             }
             evictions
         }
-        let first = run(&mut c);
-        c.reset();
-        let second = run(&mut c);
-        assert_eq!(first, second, "seeded RNG must replay identically after reset");
+        let first = run(&config);
+        let second = run(&config);
+        assert_eq!(first, second, "two caches built from one config must evict alike");
         assert!(!first.is_empty());
     }
 
@@ -431,18 +416,6 @@ mod tests {
         let r = c.access(64, false, 9);
         assert!(!r.hit);
         assert_eq!(r.evicted, Some(0));
-    }
-
-    #[test]
-    fn reset_clears_state_and_stats() {
-        let mut c = Cache::new(cfg(4, 16, 2)).unwrap();
-        c.access(0, true, 1);
-        c.access(16, false, 2);
-        c.reset();
-        assert_eq!(c.accesses(), 0);
-        assert_eq!(c.hits(), 0);
-        assert!(!c.access(0, false, 3).hit, "after reset everything misses again");
-        assert!(c.lines().iter().flatten().filter(|l| l.valid).count() == 1);
     }
 
     #[test]

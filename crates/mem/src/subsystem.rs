@@ -206,16 +206,6 @@ impl MemorySubsystem {
     ) -> Result<MemoryTransaction, MemError> {
         self.register(MemoryTransaction::store(address, size, value, cycle))
     }
-
-    /// Reset the cache state and statistics while keeping memory contents.
-    /// Used when a deterministic re-run starts (backward simulation).
-    pub fn reset_timing_state(&mut self) {
-        if let Some(c) = self.cache.as_mut() {
-            c.reset();
-        }
-        self.stats = MemStats::default();
-        self.next_id = 1;
-    }
 }
 
 #[cfg(test)]
@@ -303,18 +293,6 @@ mod tests {
         let b = m.load(4, 4, 0).unwrap();
         let c = m.store(8, 4, 0, 0).unwrap();
         assert!(a.id < b.id && b.id < c.id);
-    }
-
-    #[test]
-    fn reset_timing_state_keeps_memory_contents() {
-        let mut m = subsystem(true);
-        m.store(0x20, 4, 77, 0).unwrap();
-        m.load(0x20, 4, 1).unwrap();
-        m.reset_timing_state();
-        assert_eq!(m.stats().loads, 0);
-        assert_eq!(m.memory().read_u32(0x20).unwrap(), 77, "data must survive timing reset");
-        let tx = m.load(0x20, 4, 2).unwrap();
-        assert!(!tx.cache_hit, "cache must be cold again");
     }
 
     #[test]

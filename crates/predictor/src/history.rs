@@ -85,14 +85,6 @@ impl HistoryRegisters {
             }
         }
     }
-
-    /// Clear all history (simulation restart).
-    pub fn reset(&mut self) {
-        self.global = 0;
-        for h in &mut self.local {
-            *h = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -143,16 +135,6 @@ mod tests {
     fn width_is_clamped_to_64_safe_range() {
         let h = HistoryRegisters::new(HistoryKind::Global, 40, 1);
         assert_eq!(h.bits(), 32);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut h = HistoryRegisters::new(HistoryKind::Local, 8, 4);
-        h.record(0x10, true);
-        h.record(0x20, true);
-        h.reset();
-        assert_eq!(h.value(0x10), 0);
-        assert_eq!(h.value(0x20), 0);
     }
 
     #[test]

@@ -204,18 +204,6 @@ impl BranchPredictor {
         let b = self.btb_index(pc);
         self.btb[b] = BtbEntry { valid: true, pc, target };
     }
-
-    /// Forget everything (simulation restart).
-    pub fn reset(&mut self) {
-        for e in &mut self.btb {
-            *e = BtbEntry::default();
-        }
-        for p in &mut self.pht {
-            *p = SaturatingPredictor::new(self.config.predictor_kind, self.config.default_state);
-        }
-        self.history.reset();
-        self.stats = PredictorStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -349,16 +337,5 @@ mod tests {
         let (_, state) = p.peek(0x40);
         assert_eq!(state, CounterState::WeaklyTaken);
         assert_eq!(*p.stats(), before);
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let mut p = predictor(PredictorKind::Two, CounterState::WeaklyNotTaken);
-        let pred = p.predict(0x100);
-        p.update(0x100, pred.taken, true, 0x200);
-        p.reset();
-        assert_eq!(p.stats().predictions, 0);
-        assert_eq!(p.predict(0x100).target, None);
-        assert_eq!(p.peek(0x100).1, CounterState::WeaklyNotTaken);
     }
 }

@@ -5,8 +5,8 @@
 //! a contiguous id range with at most transient interior holes.  The seed
 //! kept this window in a `BTreeMap<InstrId, SimCode>` — every lookup walked
 //! a tree and every insert/remove rebalanced and allocated.  This ring maps
-//! an id to `slots[id - base]` instead: O(1) access, cache-friendly
-//! iteration for wake-ups, zero allocation in steady state.
+//! an id to `slots[id - base]` instead: O(1) access, in-order iteration and
+//! zero allocation in steady state.
 
 use crate::instruction::{InstrId, SimCode};
 use std::collections::VecDeque;
@@ -24,13 +24,6 @@ impl InFlightRing {
     /// An empty ring whose next expected id is `first_id`.
     pub fn new(first_id: InstrId) -> Self {
         InFlightRing { base: first_id, slots: VecDeque::with_capacity(64), live: 0 }
-    }
-
-    /// Drop everything and restart the id window at `first_id`.
-    pub fn reset(&mut self, first_id: InstrId) {
-        self.slots.clear();
-        self.base = first_id;
-        self.live = 0;
     }
 
     /// Number of live (stored) instructions.
@@ -119,11 +112,6 @@ impl InFlightRing {
     pub fn iter(&self) -> impl Iterator<Item = &SimCode> {
         self.slots.iter().filter_map(Option::as_ref)
     }
-
-    /// Mutable iteration in id order (wake-up broadcast).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut SimCode> {
-        self.slots.iter_mut().filter_map(Option::as_mut)
-    }
 }
 
 #[cfg(test)]
@@ -209,26 +197,5 @@ mod tests {
         assert!(ring.is_empty());
         ring.insert(code(10));
         assert_eq!(ring.iter().count(), 1);
-    }
-
-    #[test]
-    fn reset_restarts_the_window() {
-        let mut ring = InFlightRing::new(1);
-        ring.insert(code(1));
-        ring.reset(1);
-        assert!(ring.is_empty());
-        ring.insert(code(1));
-        assert_eq!(ring.get(1).unwrap().id, 1);
-    }
-
-    #[test]
-    fn iter_mut_visits_in_program_order() {
-        let mut ring = InFlightRing::new(1);
-        for id in 1..=3 {
-            ring.insert(code(id));
-        }
-        ring.take(2);
-        let ids: Vec<InstrId> = ring.iter_mut().map(|c| c.id).collect();
-        assert_eq!(ids, vec![1, 3]);
     }
 }

@@ -19,6 +19,9 @@ use serde::{Deserialize, Serialize};
 /// Unique, monotonically increasing instruction identifier (program order).
 pub type InstrId = u64;
 
+/// Most source operands an instruction reads (`fmadd.s` reads three).
+pub const MAX_SOURCES: usize = 3;
+
 /// Lifecycle of an in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum InstructionState {
@@ -116,7 +119,7 @@ pub struct SimCode {
     /// Phase timestamps.
     pub timestamps: Timestamps,
     /// Renamed source operands.
-    pub sources: InlineVec<SourceOperand, 3>,
+    pub sources: InlineVec<SourceOperand, MAX_SOURCES>,
     /// Renamed destination, if the instruction writes a register.
     pub dest: Option<DestOperand>,
 
@@ -186,17 +189,15 @@ impl SimCode {
         self.sources.iter().all(SourceOperand::ready)
     }
 
-    /// Deliver a produced value to any source operand waiting on `tag`.
-    /// Returns true when at least one operand was woken.
-    pub fn wake_up(&mut self, tag: PhysRegTag, value: TypedValue) -> bool {
-        let mut woke = false;
-        for src in self.sources.iter_mut() {
-            if src.wait_tag == Some(tag) && src.value.is_none() {
-                src.value = Some(value);
-                woke = true;
-            }
-        }
-        woke
+    /// Deliver the value of `tag` to source operand `source`, which waits
+    /// for it.
+    pub fn wake_up(&mut self, source: usize, tag: PhysRegTag, value: TypedValue) {
+        let src = &mut self.sources[source];
+        debug_assert!(
+            src.wait_tag == Some(tag) && src.value.is_none(),
+            "woke a source that does not wait for {tag}"
+        );
+        src.value = Some(value);
     }
 
     /// Value of the source operand named `arg`, if known.
@@ -268,15 +269,11 @@ mod tests {
             value: None,
         });
         assert!(!c.sources_ready());
-        assert!(!c.wake_up(PhysRegTag(9), TypedValue::int(5)), "wrong tag wakes nothing");
-        assert!(c.wake_up(PhysRegTag(3), TypedValue::int(5)));
+        c.wake_up(1, PhysRegTag(3), TypedValue::int(5));
         assert!(c.sources_ready());
         assert_eq!(c.source_value(SYM_RS2), Some(TypedValue::int(5)));
         assert_eq!(c.source_value(SYM_RS1), Some(TypedValue::int(1)));
         assert_eq!(c.source_value(Sym::new("rs9")), None);
-        // A second wake-up for the same tag does not overwrite.
-        assert!(!c.wake_up(PhysRegTag(3), TypedValue::int(99)));
-        assert_eq!(c.source_value(SYM_RS2), Some(TypedValue::int(5)));
     }
 
     #[test]

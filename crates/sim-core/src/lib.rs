@@ -47,6 +47,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod trace;
 pub mod units;
+mod wakeup;
 
 pub use config::{
     ArchitectureConfig, BufferConfig, FpUnitConfig, FunctionalUnitsConfig, FxUnitConfig,

@@ -6,12 +6,20 @@
 //! and another enter it within the same cycle — the Rust equivalent of the
 //! paper's "two sub-step" functional-unit update (§III-A).
 //!
-//! The simulate loop is allocation-free: the whole program is predecoded at
-//! construction ([`crate::predecode::PredecodedProgram`]), so fetch — and
-//! therefore every mispredict replay and every `step_back` re-simulation —
-//! is an array index, execution runs compiled semantics expressions, and the
-//! in-flight window lives in a ring ([`crate::inflight::InFlightRing`])
-//! instead of a `BTreeMap`.
+//! A cycle's host cost follows what happens in it.  The whole program is
+//! predecoded at construction ([`crate::predecode::PredecodedProgram`]), so
+//! fetch — and therefore every mispredict replay and every `step_back`
+//! re-simulation — is an array index, and execution runs compiled semantics
+//! expressions.  The in-flight window lives in a ring
+//! ([`crate::inflight::InFlightRing`]) instead of a `BTreeMap`.  A result
+//! wakes only the sources that wait for it: dispatch links each waiting
+//! source into its rename register's wake-up list, and a flush unlinks the
+//! squashed ones.  Commit pops the fronts of the reorder buffer and the
+//! load and store buffers.
+//!
+//! A cycle does not allocate once the pipeline has warmed up: the lists a
+//! stage builds live in scratch buffers the simulator keeps between cycles,
+//! and the wake-up lists are flat arrays sized at construction.
 //!
 //! Everything fixed at construction (configuration, program, predecoded
 //! table, static mix) sits behind one shared [`Arc`], and main memory is
@@ -22,7 +30,9 @@
 
 use crate::config::{ArchitectureConfig, FpUnitConfig, FxUnitConfig};
 use crate::inflight::InFlightRing;
-use crate::instruction::{DestOperand, InstrId, InstructionState, SimCode, SourceOperand};
+use crate::instruction::{
+    DestOperand, InstrId, InstructionState, SimCode, SourceOperand, MAX_SOURCES,
+};
 use crate::log::{DebugLog, LogEvent};
 use crate::predecode::{DescSemantics, LatencyClass, PredecodedInstr, PredecodedProgram};
 use crate::register_file::{DestRename, OperandRead, RegisterFile};
@@ -31,6 +41,7 @@ use crate::trace::{MemEffect, RetireEvent};
 use crate::units::{
     FunctionalUnit, IssueWindow, LoadBuffer, LoadEntry, ReorderBuffer, StoreBuffer, StoreEntry,
 };
+use crate::wakeup::WakeupLists;
 use rvsim_asm::{assemble, AssemblerOptions, Program};
 use rvsim_isa::{
     Bindings, DataType, Exception, FunctionalClass, InstructionSet, RegisterId, RegisterValue,
@@ -99,6 +110,28 @@ fn keeps_checkpoint(cycle: u64, target: u64) -> bool {
     (target - cycle) >> zeros < CHECKPOINT_INTERVAL
 }
 
+/// What the memory stage does for a pending load this cycle.
+#[derive(Debug, Clone, Copy)]
+enum LoadAction {
+    /// Take the value of an older store to the same address.
+    Forward(u64),
+    /// Send the load to memory.
+    Issue,
+}
+
+/// Lists a cycle builds and drops, kept between cycles so that a cycle
+/// does not allocate.  Each is empty outside the stage that fills it, so a
+/// clone copies none of them.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Instructions whose functional unit finishes this cycle.
+    finished: Vec<InstrId>,
+    /// Loads whose data arrives this cycle, with the raw data.
+    completed: Vec<(InstrId, TypedValue)>,
+    /// What each pending load does this cycle.
+    load_actions: Vec<(InstrId, LoadAction)>,
+}
+
 /// The complete processor simulator.
 ///
 /// A clone shares the program image, every unwritten memory page and the
@@ -126,6 +159,8 @@ pub struct Simulator {
 
     in_flight: InFlightRing,
     fetch_buffer: VecDeque<InstrId>,
+    wakeup: WakeupLists,
+    scratch: Scratch,
 
     pc: u64,
     cycle: u64,
@@ -245,6 +280,8 @@ impl Simulator {
             store_buffer: StoreBuffer::new(config.memory.store_buffer_size),
             in_flight: InFlightRing::new(1),
             fetch_buffer: VecDeque::new(),
+            wakeup: WakeupLists::new(config.memory.rename_file_size, config.buffers.rob_size),
+            scratch: Scratch::default(),
             pc,
             cycle: 0,
             next_id: 1,
@@ -566,9 +603,38 @@ impl Simulator {
         self.stage_issue(cycle);
         self.stage_dispatch(pp, cycle);
         self.stage_fetch(pp, cycle);
+        #[cfg(debug_assertions)]
+        self.check_wakeup_lists();
 
         self.cycle += 1;
         self.check_end_of_program();
+    }
+
+    /// The wake-up invariant: every dispatched source without a value waits
+    /// for an unwritten rename register and is in that register's list, and
+    /// the lists hold nothing else.
+    #[cfg(debug_assertions)]
+    fn check_wakeup_lists(&self) {
+        let mut waiting = 0;
+        for (slot, id) in self.rob.slots() {
+            let code = self.in_flight.get(id).expect("a ROB entry is in flight");
+            for (source, src) in code.sources.iter().enumerate() {
+                if src.value.is_some() {
+                    continue;
+                }
+                waiting += 1;
+                let tag = src.wait_tag.expect("a source without a value waits for a tag");
+                assert!(
+                    self.regs.read_phys(tag).is_none(),
+                    "instruction {id} waits for {tag}, which is already written"
+                );
+                assert!(
+                    self.wakeup.waiters(tag).any(|w| w == (slot, source)),
+                    "instruction {id} waits for {tag} but is not in its wake-up list"
+                );
+            }
+        }
+        assert_eq!(self.wakeup.count(), waiting, "wake-up lists hold only waiting sources");
     }
 
     // ---------------------------------------------------------------- commit
@@ -582,7 +648,8 @@ impl Simulator {
             }
             let mut code = self.in_flight.take(head).unwrap();
             self.in_flight.trim();
-            self.rob.pop_head();
+            let popped = self.rob.pop_head();
+            debug_assert_eq!(popped, Some(head));
             let entry = pp.entry(code.pc).expect("committed pc is predecoded");
 
             // Exceptions are raised at commit (paper §III-B).
@@ -599,13 +666,11 @@ impl Simulator {
 
             // Stores write memory at commit so speculative stores never leak.
             let mut store_effect: Option<MemEffect> = None;
+            // Commit runs in program order, so the committing instruction's
+            // store- or load-buffer entry is the oldest one.
             if code.class == FunctionalClass::Store {
-                let store = self
-                    .store_buffer
-                    .iter()
-                    .find(|e| e.id == head)
-                    .cloned()
-                    .expect("committed store has a buffer entry");
+                let store = *self.store_buffer.front().expect("committed store has a buffer entry");
+                debug_assert_eq!(store.id, head, "the oldest store commits first");
                 let (address, value) = (
                     store.address.expect("store address computed"),
                     store.value.expect("store value ready"),
@@ -623,11 +688,12 @@ impl Simulator {
                         return;
                     }
                 }
-                self.store_buffer.retain(|e| e.id != head);
+                self.store_buffer.pop_front();
                 self.stats.stores += 1;
             }
             if code.class == FunctionalClass::Load {
-                self.load_buffer.retain(|e| e.id != head);
+                let load = self.load_buffer.pop_front();
+                debug_assert_eq!(load.map(|e| e.id), Some(head), "the oldest load commits first");
                 self.stats.loads += 1;
             }
 
@@ -693,7 +759,7 @@ impl Simulator {
 
     fn stage_writeback(&mut self, pp: &PredecodedProgram, cycle: u64) {
         // Gather all functional-unit completions for this cycle, oldest first.
-        let mut finished: Vec<InstrId> = Vec::new();
+        let mut finished = std::mem::take(&mut self.scratch.finished);
         for (unit, _) in &mut self.fx_units {
             if let Some(id) = unit.finishes_at(cycle) {
                 unit.release();
@@ -720,7 +786,7 @@ impl Simulator {
         }
         finished.sort_unstable();
 
-        for id in finished {
+        for &id in &finished {
             let Some(mut code) = self.in_flight.take(id) else { continue };
             let entry = pp.entry(code.pc).expect("executed pc is predecoded");
             let sem = pp.semantics(code.desc);
@@ -740,6 +806,8 @@ impl Simulator {
             }
             self.in_flight.put(code);
         }
+        finished.clear();
+        self.scratch.finished = finished;
     }
 
     /// Bind the instruction's known source values, immediates and pc for a
@@ -918,8 +986,8 @@ impl Simulator {
         code.timestamps.execute = Some(cycle);
     }
 
-    /// Record the destination value, write the rename register and wake every
-    /// waiting consumer.
+    /// Record the destination value, write the rename register and wake the
+    /// sources waiting for it.
     fn write_dest(&mut self, code: &mut SimCode, value: TypedValue) {
         code.result = Some(value);
         let Some(dest) = &code.dest else { return };
@@ -928,8 +996,10 @@ impl Simulator {
         let stored = RegisterValue { bits: value.bits(), data_type: dest.data_type };
         self.regs.write_phys(tag, stored);
         let typed = stored.typed();
-        for other in self.in_flight.iter_mut() {
-            other.wake_up(tag, typed);
+        for (slot, source) in self.wakeup.take(tag) {
+            let id = self.rob.id_in(slot);
+            let waiter = self.in_flight.get_mut(id).expect("a waiting instruction is in flight");
+            waiter.wake_up(source, tag, typed);
         }
     }
 
@@ -937,17 +1007,23 @@ impl Simulator {
     /// the fetch unit to `redirect` and apply the flush penalty.
     fn flush_after(&mut self, id: InstrId, redirect: u64, cycle: u64) {
         // Wrong-path instructions still in the fetch buffer carry no renames.
-        let fetched: Vec<InstrId> = self.fetch_buffer.drain(..).collect();
-        for fid in fetched {
+        for fid in self.fetch_buffer.drain(..) {
             if let Some(mut code) = self.in_flight.take(fid) {
                 code.state = InstructionState::Squashed;
                 self.stats.squashed += 1;
             }
         }
-        // Dispatched instructions: youngest first so RAT rollback is correct.
-        let squashed = self.rob.squash_after(id);
-        for sid in squashed {
+        // Dispatched instructions: youngest first so RAT rollback is correct
+        // and each waiting source is the youngest in its wake-up list.
+        while let Some((sid, slot)) = self.rob.pop_younger_than(id) {
             if let Some(mut code) = self.in_flight.take(sid) {
+                for (source, src) in code.sources.iter().enumerate().rev() {
+                    if let (Some(tag), None) = (src.wait_tag, src.value) {
+                        self.wakeup.unlink(tag, (slot, source));
+                    }
+                }
+                // Every waiter on its tag is younger and already unlinked, so
+                // the tag goes back to the free list with an empty list.
                 if let Some(DestOperand { tag: Some(tag), previous, .. }) = code.dest {
                     self.regs.rollback(tag, previous);
                 }
@@ -985,13 +1061,14 @@ impl Simulator {
 
     fn stage_memory(&mut self, pp: &PredecodedProgram, cycle: u64) {
         // 1. Complete loads whose data is available.
-        let completed: Vec<(InstrId, TypedValue)> = self
-            .load_buffer
-            .iter()
-            .filter(|e| e.completion.map(|c| c <= cycle).unwrap_or(false) && e.forwarded.is_some())
-            .map(|e| (e.id, e.forwarded.unwrap()))
-            .collect();
-        for (id, raw_value) in completed {
+        let mut completed = std::mem::take(&mut self.scratch.completed);
+        completed.extend(self.load_buffer.iter().filter_map(|e| {
+            match (e.completion, e.forwarded) {
+                (Some(completion), Some(value)) if completion <= cycle => Some((e.id, value)),
+                _ => None,
+            }
+        }));
+        for &(id, raw_value) in &completed {
             let Some(mut code) = self.in_flight.take(id) else { continue };
             let entry = pp.entry(code.pc).expect("load pc is predecoded");
             let memory = entry.memory.expect("load has memory descriptor");
@@ -1005,13 +1082,11 @@ impl Simulator {
             // The buffer entry is kept until commit for occupancy accounting,
             // but marked complete so it is not re-issued.
         }
+        completed.clear();
+        self.scratch.completed = completed;
 
         // 2. Decide what each pending load can do this cycle.
-        enum Action {
-            Forward(u64),
-            Issue,
-        }
-        let mut actions: Vec<(InstrId, Action)> = Vec::new();
+        let mut actions = std::mem::take(&mut self.scratch.load_actions);
         for entry in self.load_buffer.iter() {
             let Some(address) = entry.address else { continue };
             if entry.completion.is_some() {
@@ -1042,17 +1117,17 @@ impl Simulator {
                 continue;
             }
             if let Some(value) = forward {
-                actions.push((entry.id, Action::Forward(value)));
+                actions.push((entry.id, LoadAction::Forward(value)));
             } else if self.mem_issues_this_cycle < self.image.config.units.memory_units {
-                actions.push((entry.id, Action::Issue));
+                actions.push((entry.id, LoadAction::Issue));
                 self.mem_issues_this_cycle += 1;
             }
         }
 
         // 3. Apply the decisions.
-        for (id, action) in actions {
+        for &(id, action) in &actions {
             match action {
-                Action::Forward(raw) => {
+                LoadAction::Forward(raw) => {
                     for entry in self.load_buffer.iter_mut() {
                         if entry.id == id {
                             entry.forwarded = Some(TypedValue::long(raw as i64));
@@ -1060,7 +1135,7 @@ impl Simulator {
                         }
                     }
                 }
-                Action::Issue => {
+                LoadAction::Issue => {
                     let (address, size) = {
                         let entry = self.load_buffer.iter().find(|e| e.id == id).unwrap();
                         (entry.address.unwrap(), entry.size)
@@ -1088,6 +1163,8 @@ impl Simulator {
                 }
             }
         }
+        actions.clear();
+        self.scratch.load_actions = actions;
     }
 
     // ----------------------------------------------------------------- issue
@@ -1231,7 +1308,8 @@ impl Simulator {
             // previous mapping, not the tag it is about to allocate for
             // itself.  The operand specs are predecoded — no descriptor or
             // program lookups here.
-            let mut sources: rvsim_isa::InlineVec<SourceOperand, 3> = rvsim_isa::InlineVec::new();
+            let mut sources: rvsim_isa::InlineVec<SourceOperand, MAX_SOURCES> =
+                rvsim_isa::InlineVec::new();
             for src in entry.srcs.iter() {
                 let (wait_tag, value) = match self.regs.read_operand(src.reg) {
                     OperandRead::Ready(v) => (None, Some(v)),
@@ -1274,12 +1352,17 @@ impl Simulator {
 
             // Commit the dispatch.
             self.fetch_buffer.pop_front();
+            let slot = self.rob.push(id);
+            for (source, src) in sources.iter().enumerate() {
+                if let Some(tag) = src.wait_tag {
+                    self.wakeup.push(tag, (slot, source));
+                }
+            }
             let code = self.in_flight.get_mut(id).unwrap();
             code.sources = sources;
             code.dest = dest;
             code.state = InstructionState::Dispatched;
             code.timestamps.dispatch = Some(cycle);
-            self.rob.push(id);
             match class {
                 FunctionalClass::Fx => self.fx_window.insert(id),
                 FunctionalClass::Fp => self.fp_window.insert(id),

@@ -8,22 +8,29 @@
 use crate::instruction::InstrId;
 use rvsim_isa::TypedValue;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------------
 // Reorder buffer
 // ---------------------------------------------------------------------------
 
 /// The reorder (retire) buffer: instruction ids in program order.
+///
+/// It is a ring of `capacity` slots, and an instruction keeps its slot from
+/// dispatch until it commits or is squashed, so per-instruction side tables
+/// (the wake-up lists) are flat arrays indexed by slot.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ReorderBuffer {
-    entries: Vec<InstrId>,
+    entries: VecDeque<InstrId>,
     capacity: usize,
+    /// Slot of the oldest entry.
+    head_slot: usize,
 }
 
 impl ReorderBuffer {
     /// Create a ROB with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        ReorderBuffer { entries: Vec::with_capacity(capacity), capacity }
+        ReorderBuffer { entries: VecDeque::with_capacity(capacity), capacity, head_slot: 0 }
     }
 
     /// Number of occupied entries.
@@ -46,24 +53,32 @@ impl ReorderBuffer {
         self.capacity
     }
 
-    /// Append an instruction (program order).
-    pub fn push(&mut self, id: InstrId) {
+    fn slot_at(&self, position: usize) -> usize {
+        (self.head_slot + position) % self.capacity
+    }
+
+    /// Append an instruction (program order) and return its slot.
+    pub fn push(&mut self, id: InstrId) -> usize {
         debug_assert!(self.has_space(), "ROB overflow");
-        self.entries.push(id);
+        self.entries.push_back(id);
+        self.slot_at(self.entries.len() - 1)
     }
 
     /// Oldest instruction, if any.
     pub fn head(&self) -> Option<InstrId> {
-        self.entries.first().copied()
+        self.entries.front().copied()
     }
 
     /// Remove and return the oldest instruction.
     pub fn pop_head(&mut self) -> Option<InstrId> {
-        if self.entries.is_empty() {
-            None
-        } else {
-            Some(self.entries.remove(0))
-        }
+        let id = self.entries.pop_front()?;
+        self.head_slot = (self.head_slot + 1) % self.capacity;
+        Some(id)
+    }
+
+    /// The instruction in an occupied `slot`.
+    pub fn id_in(&self, slot: usize) -> InstrId {
+        self.entries[(slot + self.capacity - self.head_slot) % self.capacity]
     }
 
     /// All entries in program order.
@@ -71,13 +86,22 @@ impl ReorderBuffer {
         self.entries.iter().copied()
     }
 
-    /// Remove every instruction younger than `id` (exclusive) and return them
-    /// youngest-first — the order required for rename rollback.
-    pub fn squash_after(&mut self, id: InstrId) -> Vec<InstrId> {
-        let keep = self.entries.iter().take_while(|&&e| e <= id).count();
-        let mut squashed: Vec<InstrId> = self.entries.split_off(keep);
-        squashed.reverse();
-        squashed
+    /// All entries in program order, each with its slot.
+    pub fn slots(&self) -> impl Iterator<Item = (usize, InstrId)> + '_ {
+        self.entries.iter().enumerate().map(|(position, &id)| (self.slot_at(position), id))
+    }
+
+    /// Remove the youngest instruction if it is younger than `id`, and return
+    /// it with its slot.  Calling this until it returns `None` squashes
+    /// everything younger than `id` youngest-first, the order rename
+    /// rollback needs.
+    pub fn pop_younger_than(&mut self, id: InstrId) -> Option<(InstrId, usize)> {
+        let youngest = *self.entries.back()?;
+        if youngest <= id {
+            return None;
+        }
+        self.entries.pop_back();
+        Some((youngest, self.slot_at(self.entries.len())))
     }
 }
 
@@ -197,16 +221,6 @@ impl FunctionalUnit {
         self.current = None;
     }
 
-    /// Return the unit to its idle post-construction state, keeping the
-    /// allocated name (used by `Simulator::reset` instead of rebuilding the
-    /// unit from a cloned name).
-    pub fn reset(&mut self) {
-        self.current = None;
-        self.busy_until = 0;
-        self.busy_cycles = 0;
-        self.executed = 0;
-    }
-
     /// Squash the unit's instruction if it is younger than `id`.
     pub fn squash_after(&mut self, id: InstrId) -> Option<InstrId> {
         match self.current {
@@ -239,7 +253,7 @@ pub struct LoadEntry {
 }
 
 /// A store-buffer entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StoreEntry {
     /// Owning instruction.
     pub id: InstrId,
@@ -252,6 +266,9 @@ pub struct StoreEntry {
 }
 
 /// A simple bounded buffer of load or store entries, kept in program order.
+/// Commit takes entries from the front.  It is a `Vec`, not a `VecDeque`:
+/// the memory stage scans both buffers every cycle, and those scans cost
+/// more over a `VecDeque` than shifting a few entries at commit does.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AccessBuffer<T> {
     entries: Vec<T>,
@@ -283,6 +300,16 @@ impl<T> AccessBuffer<T> {
     pub fn push(&mut self, entry: T) {
         debug_assert!(self.has_space(), "load/store buffer overflow");
         self.entries.push(entry);
+    }
+
+    /// The oldest entry, if any.
+    pub fn front(&self) -> Option<&T> {
+        self.entries.first()
+    }
+
+    /// Remove and return the oldest entry.
+    pub fn pop_front(&mut self) -> Option<T> {
+        (!self.entries.is_empty()).then(|| self.entries.remove(0))
     }
 
     /// Iterate entries in program order.
@@ -320,12 +347,25 @@ mod tests {
         rob.push(4);
         assert!(!rob.has_space());
         assert_eq!(rob.head(), Some(1));
-        let squashed = rob.squash_after(2);
-        assert_eq!(squashed, vec![4, 3], "youngest first");
+        assert_eq!(rob.pop_younger_than(2), Some((4, 3)), "youngest first, with its slot");
+        assert_eq!(rob.pop_younger_than(2), Some((3, 2)));
+        assert_eq!(rob.pop_younger_than(2), None);
         assert_eq!(rob.len(), 2);
         assert_eq!(rob.pop_head(), Some(1));
         assert_eq!(rob.pop_head(), Some(2));
         assert_eq!(rob.pop_head(), None);
+    }
+
+    #[test]
+    fn rob_slots_wrap_and_stay_with_their_instruction() {
+        let mut rob = ReorderBuffer::new(3);
+        assert_eq!([rob.push(1), rob.push(2)], [0, 1]);
+        rob.pop_head();
+        assert_eq!([rob.push(3), rob.push(4)], [2, 0], "slots wrap around the ring");
+        assert_eq!(rob.slots().collect::<Vec<_>>(), vec![(1, 2), (2, 3), (0, 4)]);
+        assert_eq!([rob.id_in(1), rob.id_in(2), rob.id_in(0)], [2, 3, 4]);
+        assert_eq!(rob.pop_younger_than(2), Some((4, 0)));
+        assert_eq!(rob.push(9), 0, "a squashed slot is reused");
     }
 
     #[test]
@@ -359,19 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn functional_unit_reset_keeps_name_clears_state() {
-        let mut fu = FunctionalUnit::new("FX1");
-        fu.start(3, 10, 4);
-        fu.reset();
-        assert_eq!(fu.name, "FX1");
-        assert_eq!(fu.current, None);
-        assert_eq!(fu.busy_until, 0);
-        assert_eq!(fu.busy_cycles, 0);
-        assert_eq!(fu.executed, 0);
-        assert!(fu.is_free(0));
-    }
-
-    #[test]
     fn functional_unit_zero_latency_clamped() {
         let mut fu = FunctionalUnit::new("FX1");
         fu.start(1, 5, 0);
@@ -396,10 +423,12 @@ mod tests {
         lb.retain(|e| e.id != 1);
         assert_eq!(lb.len(), 1);
         assert!(lb.has_space());
-        assert_eq!(lb.iter().next().unwrap().id, 2);
+        assert_eq!(lb.front().unwrap().id, 2);
         for e in lb.iter_mut() {
             e.completion = Some(9);
         }
         assert_eq!(lb.iter().next().unwrap().completion, Some(9));
+        assert_eq!(lb.pop_front().map(|e| e.id), Some(2));
+        assert!(lb.is_empty());
     }
 }
