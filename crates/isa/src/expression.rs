@@ -15,8 +15,13 @@
 //! The evaluator produces an [`EvalOutput`]: the value left on the stack (used
 //! for branch conditions and effective addresses) plus the list of assignment
 //! side effects (used for register write-back).
+//!
+//! The simulators run [`CompiledExpr`], the same expression decoded once:
+//! operators become function pointers and argument names become slots of a
+//! fixed operand array, resolved when the expression is compiled.  The
+//! string [`Evaluator`] is the reference the compiled form is tested
+//! against.
 
-use crate::inline_vec::InlineVec;
 use crate::intern::Sym;
 use crate::types::Exception;
 use crate::value::{binary_op, unary_op, TypedValue};
@@ -180,97 +185,84 @@ impl Evaluator {
 /// compile time instead of overflowing at runtime.
 const MAX_STACK: usize = 16;
 
+/// Most operand slots an expression reads: three register sources, two
+/// immediates and the pc.
+pub const MAX_OPERANDS: usize = 6;
+
+/// The operand values of one evaluation, indexed by slot.
+pub type Operands = [TypedValue; MAX_OPERANDS];
+
 /// One pre-decoded operation of a compiled postfix expression.  Operators
-/// are resolved to direct function pointers at compile time, so evaluation
-/// never re-matches a token string.
+/// are resolved to direct function pointers and argument names to operand
+/// slots at compile time, so evaluation never re-matches a token string or
+/// searches for a name.
 #[derive(Debug, Clone, Copy)]
 enum COp {
-    /// Resolve an argument binding and push its value.
-    Arg(Sym),
+    /// Push the operand in a slot.
+    Arg(u8),
+    /// An argument with no operand slot: raises the string evaluator's
+    /// "unbound argument" exception when run.
+    Unbound(Sym),
     /// Push a constant.
     Const(TypedValue),
     /// Pop two values, apply the binary operator, push the result.
     Bin(BinFn),
+    /// Apply the binary operator to two operands and push the result: the
+    /// `Arg Arg Bin` sequence of most semantics, fused at compile time.
+    BinArgs(u8, u8, BinFn),
     /// Pop one value, apply the unary operator, push the result.
     Un(UnFn),
-    /// Pop one value and record an assignment to the named argument.
-    Assign(Sym),
+    /// Pop one value; the first assignment is the expression's assigned
+    /// value.
+    Assign,
 }
 
 /// A postfix semantics expression compiled to a flat op sequence.
 ///
-/// Compilation happens once per instruction descriptor (at predecode time);
-/// evaluation is then a tight loop over compiled ops with a fixed-size value
-/// stack and interned-symbol bindings — no tokenizing, no hashing, no heap.
+/// Compilation happens once per instruction descriptor (at predecode time)
+/// against the descriptor's operand layout: a list of argument names whose
+/// positions are the operand slots.  Each `\name` resolves to the last slot
+/// that carries the name, the precedence of binding the names in layout
+/// order.  Evaluation is then a tight loop over compiled ops with a
+/// fixed-size value stack, indexing a fixed operand array: no tokenizing,
+/// no name search, no heap.
 ///
 /// For well-formed expressions (every built-in descriptor, and anything a
 /// reasonable user set contains) [`CompiledExpr::run`] produces exactly the
-/// same results and exceptions as [`Evaluator::run`] on the source string.
-/// The compiled path is deliberately stricter on degenerate inputs: argument
+/// same result, first assignment and exception as [`Evaluator::run`] on the
+/// source string with the layout's names bound to the operand values.  The
+/// compiled path is deliberately stricter on degenerate inputs: argument
 /// references are resolved when *pushed* (an unbound ref the string
 /// evaluator would have left unconsumed becomes an "unbound argument"
-/// error), and expressions needing more than 16 stack slots or 4
-/// assignments are rejected at compile time instead of executing.
+/// error), and expressions needing more than 16 stack slots are rejected at
+/// compile time instead of executing.
 #[derive(Debug, Clone)]
 pub struct CompiledExpr {
     ops: Box<[COp]>,
 }
 
-/// Result of evaluating a [`CompiledExpr`] — the allocation-free analogue of
-/// [`EvalOutput`].
-#[derive(Debug, Clone, Copy, Default)]
+/// Result of evaluating a [`CompiledExpr`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CompiledOutput {
     /// Value left on the stack after evaluation, if any.
     pub result: Option<TypedValue>,
-    /// Assignment side effects in evaluation order.
-    pub assignments: InlineVec<(Sym, TypedValue), 4>,
-}
-
-/// Interned-symbol argument bindings for compiled evaluation.  A linear scan
-/// over at most 8 `(Sym, value)` pairs beats a `HashMap<String, _>` by a wide
-/// margin at the 4–6 bindings a RISC-V instruction needs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Bindings {
-    entries: InlineVec<(Sym, TypedValue), 8>,
-}
-
-impl Bindings {
-    /// No bindings.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bind `sym` to `value`, replacing any previous binding.
-    pub fn bind(&mut self, sym: Sym, value: TypedValue) {
-        for entry in self.entries.iter_mut() {
-            if entry.0 == sym {
-                entry.1 = value;
-                return;
-            }
-        }
-        self.entries.push((sym, value));
-    }
-
-    /// Look up a binding.
-    pub fn get(&self, sym: Sym) -> Option<TypedValue> {
-        self.entries.iter().find(|(s, _)| *s == sym).map(|(_, v)| *v)
-    }
-
-    /// Remove all bindings.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
+    /// Value of the expression's first assignment, if any.
+    pub assigned: Option<TypedValue>,
 }
 
 impl CompiledExpr {
-    /// Compile `expr`.  Structural errors (unknown tokens, stack underflow,
-    /// malformed `=`) are reported here with the same messages the string
-    /// evaluator would produce at runtime.
-    pub fn compile(expr: &str) -> Result<CompiledExpr, Exception> {
+    /// Compile `expr` against an operand layout: `slots[i]` names the
+    /// argument whose value [`CompiledExpr::run`] finds in operand slot `i`.
+    /// Structural errors (unknown tokens, stack underflow, malformed `=`) are
+    /// reported here with the same messages the string evaluator would
+    /// produce at runtime.
+    pub fn compile(expr: &str, slots: &[Sym]) -> Result<CompiledExpr, Exception> {
+        if slots.len() > MAX_OPERANDS {
+            return Err(Exception::Interpreter(format!("more than {MAX_OPERANDS} operand slots")));
+        }
         let tokens: Vec<&str> = expr.split_whitespace().collect();
         let mut ops = Vec::with_capacity(tokens.len());
         let mut depth = 0usize;
-        let mut assignments = 0usize;
         let mut i = 0;
 
         let underflow = |msg: String| Err::<(), Exception>(Exception::Interpreter(msg));
@@ -283,18 +275,16 @@ impl CompiledExpr {
                         underflow("`=` missing value operand".to_string())?;
                     }
                     depth -= 1;
-                    assignments += 1;
-                    if assignments > 4 {
-                        return Err(Exception::Interpreter(
-                            "too many assignments in one expression (max 4)".to_string(),
-                        ));
-                    }
-                    ops.push(COp::Assign(Sym::new(name)));
+                    ops.push(COp::Assign);
                     i += 2;
                     continue;
                 }
                 depth += 1;
-                ops.push(COp::Arg(Sym::new(name)));
+                let sym = Sym::new(name);
+                ops.push(match slots.iter().rposition(|&s| s == sym) {
+                    Some(slot) => COp::Arg(slot as u8),
+                    None => COp::Unbound(sym),
+                });
             } else if token == "=" {
                 // An `=` whose target was not an argument reference.
                 if depth == 0 {
@@ -311,7 +301,13 @@ impl CompiledExpr {
                     underflow(format!("`{token}` missing left operand"))?;
                 }
                 depth -= 1;
-                ops.push(COp::Bin(op));
+                match ops[..] {
+                    [.., COp::Arg(a), COp::Arg(b)] => {
+                        ops.truncate(ops.len() - 2);
+                        ops.push(COp::BinArgs(a, b, op));
+                    }
+                    _ => ops.push(COp::Bin(op)),
+                }
             } else if let Some(&(_, op)) = UNARY_FNS.iter().find(|(t, _)| *t == token) {
                 if depth < 1 {
                     underflow(format!("`{token}` missing operand"))?;
@@ -342,19 +338,20 @@ impl CompiledExpr {
         self.ops.is_empty()
     }
 
-    /// Evaluate against `bindings`.  Semantically identical to running the
-    /// source string through [`Evaluator::run`] with the same bindings.
-    pub fn run(&self, bindings: &Bindings) -> Result<CompiledOutput, Exception> {
+    /// Evaluate with `operands` in the slots of the layout the expression
+    /// was compiled against.
+    pub fn run(&self, operands: &Operands) -> Result<CompiledOutput, Exception> {
         let mut stack = [TypedValue::default(); MAX_STACK];
         let mut depth = 0usize;
         let mut out = CompiledOutput::default();
         for op in self.ops.iter() {
             match *op {
-                COp::Arg(sym) => {
-                    stack[depth] = bindings.get(sym).ok_or_else(|| {
-                        Exception::Interpreter(format!("unbound argument `\\{sym}`"))
-                    })?;
+                COp::Arg(slot) => {
+                    stack[depth] = operands[slot as usize];
                     depth += 1;
+                }
+                COp::Unbound(sym) => {
+                    return Err(Exception::Interpreter(format!("unbound argument `\\{sym}`")));
                 }
                 COp::Const(v) => {
                     stack[depth] = v;
@@ -366,12 +363,16 @@ impl CompiledExpr {
                     depth -= 1;
                     stack[depth - 1] = op(a, b)?;
                 }
+                COp::BinArgs(a, b, op) => {
+                    stack[depth] = op(operands[a as usize], operands[b as usize])?;
+                    depth += 1;
+                }
                 COp::Un(op) => {
                     stack[depth - 1] = op(stack[depth - 1])?;
                 }
-                COp::Assign(sym) => {
+                COp::Assign => {
                     depth -= 1;
-                    out.assignments.push((sym, stack[depth]));
+                    out.assigned = out.assigned.or(Some(stack[depth]));
                 }
             }
         }
@@ -504,13 +505,16 @@ mod tests {
 
     // ------------------------------------------------------------- compiled
 
+    /// Compile `expr` against the layout of `binds`' names and run it with
+    /// their values in the same slots.
     fn compiled_with(expr: &str, binds: &[(&str, TypedValue)]) -> CompiledOutput {
-        let compiled = CompiledExpr::compile(expr).expect("compiles");
-        let mut b = Bindings::new();
-        for (n, v) in binds {
-            b.bind(Sym::new(n), *v);
+        let slots: Vec<Sym> = binds.iter().map(|(n, _)| Sym::new(n)).collect();
+        let mut operands = [TypedValue::default(); MAX_OPERANDS];
+        for (slot, (_, v)) in binds.iter().enumerate() {
+            operands[slot] = *v;
         }
-        compiled.run(&b).expect("runs")
+        let compiled = CompiledExpr::compile(expr, &slots).expect("compiles");
+        compiled.run(&operands).expect("runs")
     }
 
     #[test]
@@ -521,7 +525,6 @@ mod tests {
             ("rs3", TypedValue::int(-3)),
             ("imm", TypedValue::int(-4)),
             ("pc", TypedValue::int(16)),
-            ("rd", TypedValue::int(0)),
         ];
         for expr in [
             "\\rs1 \\rs2 + \\rd =",
@@ -537,11 +540,24 @@ mod tests {
             let slow = eval_with(expr, binds);
             let fast = compiled_with(expr, binds);
             assert_eq!(slow.result, fast.result, "result of `{expr}`");
-            let slow_assigns: Vec<(String, TypedValue)> = slow.assignments;
-            let fast_assigns: Vec<(String, TypedValue)> =
-                fast.assignments.iter().map(|(s, v)| (s.as_str().to_string(), *v)).collect();
-            assert_eq!(slow_assigns, fast_assigns, "assignments of `{expr}`");
+            let first = slow.assignments.first().map(|(_, v)| *v);
+            assert_eq!(first, fast.assigned, "first assignment of `{expr}`");
         }
+    }
+
+    #[test]
+    fn slots_resolve_to_the_last_binding_of_a_name() {
+        // Binding a name twice keeps the later value, in both evaluators.
+        let binds =
+            [("imm", TypedValue::int(1)), ("x", TypedValue::int(5)), ("imm", TypedValue::int(2))];
+        let out = compiled_with("\\imm \\x +", &binds);
+        assert_eq!(out.result, Some(TypedValue::int(7)));
+        assert_eq!(eval_with("\\imm \\x +", &binds).result, out.result);
+        // A name outside the layout is unbound only when the op runs.
+        let compiled = CompiledExpr::compile("\\x \\y +", &[Sym::new("x")]).unwrap();
+        let err = compiled.run(&[TypedValue::int(1); MAX_OPERANDS]).unwrap_err();
+        assert_eq!(err, Exception::Interpreter("unbound argument `\\y`".into()));
+        assert!(CompiledExpr::compile("1", &[Sym::new("x"); MAX_OPERANDS + 1]).is_err());
     }
 
     #[test]
@@ -552,25 +568,24 @@ mod tests {
                 ("rs1", TypedValue::float(2.0)),
                 ("rs2", TypedValue::float(3.0)),
                 ("rs3", TypedValue::float(1.0)),
-                ("rd", TypedValue::float(0.0)),
             ],
         );
-        assert_eq!(out.assignments.as_slice()[0].1.as_f32(), -5.0);
+        assert_eq!(out.assigned.unwrap().as_f32(), -5.0);
     }
 
     #[test]
     fn compiled_exceptions_match_runtime_behaviour() {
+        let slots = [Sym::new("rs1"), Sym::new("rs2")];
         // Division by zero surfaces at run time, like the string path.
-        let compiled = CompiledExpr::compile("\\rs1 \\rs2 / \\rd =").unwrap();
-        let mut b = Bindings::new();
-        b.bind(Sym::new("rs1"), TypedValue::int(5));
-        b.bind(Sym::new("rs2"), TypedValue::int(0));
-        assert_eq!(compiled.run(&b).unwrap_err(), Exception::DivisionByZero);
+        let compiled = CompiledExpr::compile("\\rs1 \\rs2 / \\rd =", &slots).unwrap();
+        let mut operands = [TypedValue::default(); MAX_OPERANDS];
+        operands[0] = TypedValue::int(5);
+        assert_eq!(compiled.run(&operands).unwrap_err(), Exception::DivisionByZero);
 
         // Unbound arguments surface at run time with the same message.
-        let compiled = CompiledExpr::compile("\\rs1 \\rs2 +").unwrap();
-        let err = compiled.run(&Bindings::new()).unwrap_err();
-        assert!(matches!(&err, Exception::Interpreter(m) if m.contains("unbound argument")));
+        let compiled = CompiledExpr::compile("\\rs1 \\rs2 +", &[]).unwrap();
+        let err = compiled.run(&operands).unwrap_err();
+        assert_eq!(err, Evaluator::new().run("\\rs1 \\rs2 +").unwrap_err());
 
         // Structural errors surface at compile time with the evaluator's
         // runtime messages.
@@ -582,7 +597,7 @@ mod tests {
             ("=", "empty stack"),
             ("bogus_token", "unknown token"),
         ] {
-            let err = CompiledExpr::compile(expr).unwrap_err();
+            let err = CompiledExpr::compile(expr, &slots).unwrap_err();
             assert!(
                 matches!(&err, Exception::Interpreter(m) if m.contains(needle)),
                 "`{expr}` → {err:?}"
@@ -592,22 +607,9 @@ mod tests {
 
     #[test]
     fn compiled_empty_expression_is_empty() {
-        let compiled = CompiledExpr::compile("").unwrap();
+        let compiled = CompiledExpr::compile("", &[]).unwrap();
         assert!(compiled.is_empty());
-        let out = compiled.run(&Bindings::new()).unwrap();
-        assert!(out.result.is_none());
-        assert!(out.assignments.is_empty());
-    }
-
-    #[test]
-    fn bindings_overwrite_and_clear() {
-        let mut b = Bindings::new();
-        let rs1 = Sym::new("rs1");
-        b.bind(rs1, TypedValue::int(1));
-        b.bind(rs1, TypedValue::int(2));
-        assert_eq!(b.get(rs1).unwrap().as_i64(), 2);
-        assert!(b.get(Sym::new("rs2")).is_none());
-        b.clear();
-        assert!(b.get(rs1).is_none());
+        let out = compiled.run(&[TypedValue::default(); MAX_OPERANDS]).unwrap();
+        assert_eq!(out, CompiledOutput::default());
     }
 }

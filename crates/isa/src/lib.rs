@@ -5,7 +5,8 @@
 //! [`InstructionDescriptor`] holding its argument list and a small postfix
 //! expression (the paper's `interpretableAs` string) that a stack-based
 //! interpreter ([`expression::Evaluator`]) executes when a functional unit
-//! finishes the instruction.
+//! finishes the instruction; the simulators run it compiled once, with its
+//! argument names resolved to operand slots ([`CompiledExpr`]).
 //!
 //! The crate provides:
 //!
@@ -50,7 +51,7 @@ pub mod value;
 pub use descriptor::{
     ArgumentDescriptor, DescriptorId, InstructionDescriptor, InstructionSet, MemoryAccessDescriptor,
 };
-pub use expression::{Bindings, CompiledExpr, CompiledOutput, EvalOutput, Evaluator};
+pub use expression::{CompiledExpr, CompiledOutput, EvalOutput, Evaluator, Operands, MAX_OPERANDS};
 pub use inline_vec::InlineVec;
 pub use intern::{Sym, SYM_EMPTY, SYM_IMM, SYM_PC, SYM_RD, SYM_RS1, SYM_RS2, SYM_RS3};
 pub use register::{RegisterFileKind, RegisterId, RegisterValue};

@@ -19,8 +19,8 @@
 use rvsim_asm::{assemble, AssemblerOptions, Program};
 use rvsim_core::{ArchitectureConfig, HaltReason, MemEffect, PredecodedProgram, RetireEvent};
 use rvsim_isa::{
-    Bindings, DataType, Exception, FunctionalClass, InstructionSet, RegisterId, RegisterValue, Sym,
-    TypedValue, SYM_PC, SYM_RS2,
+    CompiledOutput, DataType, Exception, FunctionalClass, InstructionSet, Operands, RegisterId,
+    RegisterValue, Sym, TypedValue,
 };
 use rvsim_mem::{MainMemory, MemorySettings};
 use std::sync::Arc;
@@ -258,16 +258,9 @@ impl Iss {
         };
         let sem = pp.semantics(entry.desc);
 
-        // Bind source operands exactly like the pipeline's dispatch stage:
-        // register reads by argument name, immediates as 32-bit ints, plus pc.
-        let mut bindings = Bindings::new();
-        for src in entry.srcs.iter() {
-            bindings.bind(src.arg, self.register(src.reg).typed());
-        }
-        for imm in entry.imms.iter() {
-            bindings.bind(imm.arg, TypedValue::int(imm.value as i32));
-        }
-        bindings.bind(SYM_PC, TypedValue::int(self.pc as i32));
+        // The same operand slots the pipeline fills: the register sources,
+        // then the predecoded immediates and pc.
+        let operands = entry.operands_with(entry.srcs.iter().map(|s| self.register(s.reg).typed()));
 
         let pc = self.pc;
         let mut dest_effect: Option<(RegisterId, u64)> = None;
@@ -278,10 +271,10 @@ impl Iss {
         match entry.class {
             FunctionalClass::Fx | FunctionalClass::Fp => {
                 if let Some(expr) = &sem.interpretable {
-                    match expr.run(&bindings) {
+                    match expr.run(&operands) {
                         Ok(output) => {
-                            if let Some((_, value)) = output.assignments.first() {
-                                dest_effect = self.write_dest(entry.mnemonic, &entry.dst, *value);
+                            if let Some(value) = output.assigned {
+                                dest_effect = self.write_dest(entry.mnemonic, &entry.dst, value);
                             }
                         }
                         Err(exception) => {
@@ -293,7 +286,7 @@ impl Iss {
             }
             FunctionalClass::Branch => {
                 let taken = match &sem.condition {
-                    Some(cond) => match cond.run(&bindings) {
+                    Some(cond) => match cond.run(&operands) {
                         Ok(out) => out.result.map(|v| v.is_true()).unwrap_or(false),
                         Err(e) => {
                             self.halted = Some(HaltReason::Exception(e));
@@ -303,7 +296,7 @@ impl Iss {
                     None => true,
                 };
                 let target = match &sem.target {
-                    Some(t) => match t.run(&bindings) {
+                    Some(t) => match t.run(&operands) {
                         Ok(out) => out.result.map(|v| v.as_u32() as u64).unwrap_or(pc + 4),
                         Err(e) => {
                             self.halted = Some(HaltReason::Exception(e));
@@ -313,10 +306,8 @@ impl Iss {
                     None => pc + 4,
                 };
                 if let Some(expr) = &sem.interpretable {
-                    if let Ok(out) = expr.run(&bindings) {
-                        if let Some((_, value)) = out.assignments.first() {
-                            dest_effect = self.write_dest(entry.mnemonic, &entry.dst, *value);
-                        }
+                    if let Ok(CompiledOutput { assigned: Some(value), .. }) = expr.run(&operands) {
+                        dest_effect = self.write_dest(entry.mnemonic, &entry.dst, value);
                     }
                 }
                 let next = if taken { target } else { pc + 4 };
@@ -326,7 +317,7 @@ impl Iss {
                 next_pc = Some(next);
             }
             FunctionalClass::Load => {
-                let address = match Self::effective_address(&bindings, sem) {
+                let address = match Self::effective_address(&operands, sem) {
                     Ok(a) => a,
                     Err(e) => {
                         self.halted = Some(HaltReason::Exception(e));
@@ -347,7 +338,7 @@ impl Iss {
                 load_effect = Some(MemEffect { address, size: memory.size, value: value.bits() });
             }
             FunctionalClass::Store => {
-                let address = match Self::effective_address(&bindings, sem) {
+                let address = match Self::effective_address(&operands, sem) {
                     Ok(a) => a,
                     Err(e) => {
                         self.halted = Some(HaltReason::Exception(e));
@@ -355,7 +346,7 @@ impl Iss {
                     }
                 };
                 let memory = entry.memory.expect("store has a memory descriptor");
-                let value = bindings.get(SYM_RS2).unwrap_or_default();
+                let value = entry.store_data.map(|i| operands[i as usize]).unwrap_or_default();
                 // Same raw-image rule as the pipeline's store buffer: floats
                 // keep their bit pattern, integers their 64-bit extension.
                 let raw = match memory.data_type {
@@ -389,11 +380,11 @@ impl Iss {
     }
 
     fn effective_address(
-        bindings: &Bindings,
+        operands: &Operands,
         sem: &rvsim_core::predecode::DescSemantics,
     ) -> Result<u64, Exception> {
         let expr = sem.address.as_ref().expect("memory instruction has an address expression");
-        let out = expr.run(bindings)?;
+        let out = expr.run(operands)?;
         Ok(out.result.map(|v| v.as_u32() as u64).unwrap_or(0))
     }
 

@@ -7,6 +7,11 @@
 //! a tree and every insert/remove rebalanced and allocated.  This ring maps
 //! an id to `slots[id - base]` instead: O(1) access, in-order iteration and
 //! zero allocation in steady state.
+//!
+//! An instruction stays in its slot from fetch until it commits or is
+//! squashed: the stages read and update it there through short borrows by
+//! id, and removal drops it in place, so a `SimCode` is never moved after
+//! it is inserted.
 
 use crate::instruction::{InstrId, SimCode};
 use std::collections::VecDeque;
@@ -17,23 +22,17 @@ pub struct InFlightRing {
     /// Id of `slots[0]`.
     base: InstrId,
     slots: VecDeque<Option<SimCode>>,
-    live: usize,
 }
 
 impl InFlightRing {
     /// An empty ring whose next expected id is `first_id`.
     pub fn new(first_id: InstrId) -> Self {
-        InFlightRing { base: first_id, slots: VecDeque::with_capacity(64), live: 0 }
-    }
-
-    /// Number of live (stored) instructions.
-    pub fn live(&self) -> usize {
-        self.live
+        InFlightRing { base: first_id, slots: VecDeque::with_capacity(64) }
     }
 
     /// True when no instruction is stored.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.iter().next().is_none()
     }
 
     #[inline]
@@ -61,7 +60,6 @@ impl InFlightRing {
             self.slots.push_back(None);
         }
         self.slots.push_back(Some(code));
-        self.live += 1;
     }
 
     /// Shared access by id.
@@ -76,36 +74,22 @@ impl InFlightRing {
         self.index_of(id).and_then(|i| self.slots[i].as_mut())
     }
 
-    /// Remove and return the instruction with `id`, leaving its slot empty.
-    /// Call [`Self::trim`] after a removal burst (or [`Self::put`] to return
-    /// the instruction, e.g. around an execute step).
-    pub fn take(&mut self, id: InstrId) -> Option<SimCode> {
-        let i = self.index_of(id)?;
-        let taken = self.slots[i].take();
-        if taken.is_some() {
-            self.live -= 1;
+    /// Drop the instruction with `id` in its slot (it committed), then
+    /// reclaim the empty slots at the front of the window.
+    pub fn remove(&mut self, id: InstrId) {
+        if let Some(i) = self.index_of(id) {
+            self.slots[i] = None;
         }
-        taken
-    }
-
-    /// Put an instruction back into the empty slot it was taken from.
-    pub fn put(&mut self, code: SimCode) {
-        let i = self.index_of(code.id).expect("put target inside the id window");
-        debug_assert!(self.slots[i].is_none(), "put into an occupied slot");
-        self.slots[i] = Some(code);
-        self.live += 1;
-    }
-
-    /// Drop empty slots at the front of the window, reclaiming the id range
-    /// of committed instructions.  Only the front is trimmed: a flush runs
-    /// while the mispredicted branch is temporarily [`Self::take`]n out, so
-    /// its (empty) slot must survive until [`Self::put`] restores it.
-    /// Squashed trailing slots are reclaimed as the front advances past them.
-    pub fn trim(&mut self) {
-        while matches!(self.slots.front(), Some(None)) {
+        while let Some(None) = self.slots.front() {
             self.slots.pop_front();
             self.base += 1;
         }
+    }
+
+    /// Drop every instruction younger than `id` (a flush squashed them).
+    pub fn truncate_after(&mut self, id: InstrId) {
+        let keep = (id + 1).saturating_sub(self.base) as usize;
+        self.slots.truncate(keep);
     }
 
     /// Live instructions in id (program) order.
@@ -134,28 +118,27 @@ mod tests {
             memory: None,
             srcs: InlineVec::new(),
             dst: None,
-            imms: InlineVec::new(),
+            operands: Default::default(),
             store_data: None,
         };
         SimCode::fetched(id, id * 4, &entry, 7)
     }
 
     #[test]
-    fn insert_get_take_put_round_trip() {
+    fn insert_get_and_remove_by_id() {
         let mut ring = InFlightRing::new(1);
         for id in 1..=4 {
             ring.insert(code(id));
         }
-        assert_eq!(ring.live(), 4);
         assert_eq!(ring.get(2).unwrap().id, 2);
         assert!(ring.get(0).is_none());
         assert!(ring.get(5).is_none());
 
-        let taken = ring.take(2).unwrap();
-        assert_eq!(ring.live(), 3);
+        // Removing an instruction behind the front leaves a hole that the
+        // front reclaims once it gets there.
+        ring.remove(2);
         assert!(ring.get(2).is_none());
-        ring.put(taken);
-        assert_eq!(ring.get(2).unwrap().id, 2);
+        assert_eq!(ring.iter().map(|c| c.id).collect::<Vec<_>>(), vec![1, 3, 4]);
 
         ring.get_mut(3).unwrap().flops = 9;
         assert_eq!(ring.get(3).unwrap().flops, 9);
@@ -168,19 +151,11 @@ mod tests {
             ring.insert(code(id));
         }
         // Commit 1, 2 (front) and squash 5 (back).
-        ring.take(1);
-        ring.take(2);
-        ring.take(5);
-        ring.trim();
-        assert_eq!(ring.live(), 2);
+        ring.remove(1);
+        ring.remove(2);
+        ring.truncate_after(4);
         assert_eq!(ring.iter().map(|c| c.id).collect::<Vec<_>>(), vec![3, 4]);
-
-        // A take + put round-trip keeps the slot valid (the write-back stage
-        // holds an instruction out while it executes; trim is deferred until
-        // nothing is out).
-        let held = ring.take(3).unwrap();
-        ring.put(held);
-        assert_eq!(ring.get(3).unwrap().id, 3);
+        assert!(ring.get(5).is_none());
 
         // After a flush, fetch continues with fresh (gapped) ids.
         ring.insert(code(9));
@@ -188,14 +163,16 @@ mod tests {
         assert!(ring.get(6).is_none(), "gap ids are empty");
         assert_eq!(ring.iter().map(|c| c.id).collect::<Vec<_>>(), vec![3, 4, 9]);
 
-        // Draining everything then trimming leaves an empty ring that still
-        // accepts the next id.
-        ring.take(3);
-        ring.take(4);
-        ring.take(9);
-        ring.trim();
+        // Draining everything leaves an empty ring that still accepts the
+        // next id.
+        ring.remove(3);
+        ring.remove(4);
+        assert_eq!(ring.get(9).unwrap().id, 9, "the front skips the gap");
+        ring.remove(9);
         assert!(ring.is_empty());
         ring.insert(code(10));
         assert_eq!(ring.iter().count(), 1);
+        ring.truncate_after(9);
+        assert!(ring.is_empty());
     }
 }

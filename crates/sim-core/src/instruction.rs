@@ -209,11 +209,6 @@ impl SimCode {
     pub fn is_done(&self) -> bool {
         self.state == InstructionState::Done
     }
-
-    /// True when the instruction still occupies pipeline resources.
-    pub fn is_in_flight(&self) -> bool {
-        !matches!(self.state, InstructionState::Committed | InstructionState::Squashed)
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +230,7 @@ mod tests {
             memory: None,
             srcs: InlineVec::new(),
             dst: None,
-            imms: InlineVec::new(),
+            operands: Default::default(),
             store_data: None,
         };
         SimCode::fetched(1, 0x10, &entry, 7)
@@ -249,7 +244,6 @@ mod tests {
         assert_eq!(c.predicted_next_pc, 0x14);
         assert_eq!(c.mnemonic, "add");
         assert_eq!(c.latency, LatencyClass::IntAlu);
-        assert!(c.is_in_flight());
         assert!(!c.is_done());
     }
 
@@ -282,9 +276,7 @@ mod tests {
         c.state = InstructionState::Done;
         assert!(c.is_done());
         c.state = InstructionState::Committed;
-        assert!(!c.is_in_flight());
-        c.state = InstructionState::Squashed;
-        assert!(!c.is_in_flight());
+        assert!(!c.is_done());
     }
 
     #[test]

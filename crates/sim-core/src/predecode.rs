@@ -8,14 +8,20 @@
 //! compact [`PredecodedInstr`] (descriptor id, interned names, operand specs,
 //! immediates, latency class, static branch target) indexed by `pc / 4`, and
 //! every descriptor's postfix semantics are compiled to flat op sequences
-//! ([`CompiledExpr`]).  Fetch becomes an array index; execution becomes a
-//! compiled-expression run with inline bindings — no per-instruction heap
-//! traffic anywhere in the simulate loop.
+//! ([`CompiledExpr`]) against its operand layout ([`operand_slots`]): each
+//! argument name becomes a slot index once, here.  Each instruction carries
+//! its operand array with the immediates and pc already in their slots, so
+//! fetch becomes an array index and execution copies that array, writes
+//! the source values into it and runs the compiled expression — no name
+//! lookup and no per-instruction heap traffic anywhere in the simulate
+//! loop.
 
+use crate::instruction::MAX_SOURCES;
 use rvsim_asm::Program;
 use rvsim_isa::{
-    ArgKind, CompiledExpr, DataType, DescriptorId, FunctionalClass, InlineVec, InstructionSet,
-    MemoryAccessDescriptor, RegisterId, Sym, SYM_RS2,
+    ArgKind, CompiledExpr, DataType, DescriptorId, FunctionalClass, InlineVec,
+    InstructionDescriptor, InstructionSet, MemoryAccessDescriptor, Operands, RegisterId, Sym,
+    TypedValue, MAX_OPERANDS, SYM_PC, SYM_RS2,
 };
 use serde::{Deserialize, Serialize};
 
@@ -109,15 +115,6 @@ pub struct DstSpec {
     pub data_type: DataType,
 }
 
-/// An immediate operand of a predecoded instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ImmSpec {
-    /// Descriptor argument name (`imm`), interned.
-    pub arg: Sym,
-    /// Resolved immediate value (branch offsets are PC-relative bytes).
-    pub value: i64,
-}
-
 /// One fully decoded static instruction, ready for zero-allocation dispatch.
 #[derive(Debug, Clone)]
 pub struct PredecodedInstr {
@@ -145,8 +142,10 @@ pub struct PredecodedInstr {
     pub srcs: InlineVec<SrcSpec, 3>,
     /// Register destination, if the instruction writes one back.
     pub dst: Option<DstSpec>,
-    /// Immediate operands.
-    pub imms: InlineVec<ImmSpec, 2>,
+    /// The operands of its semantics (see [`operand_slots`]) with the
+    /// immediates (as 32-bit ints; branch offsets are PC-relative bytes) and
+    /// the pc in their slots, and zero in the source slots.
+    pub operands: Operands,
     /// Index into `srcs` of the store-data operand (stores only).
     pub store_data: Option<u8>,
 }
@@ -157,11 +156,46 @@ impl PredecodedInstr {
         self.class == FunctionalClass::Branch
     }
 
-    /// Immediate value of the argument named `arg`, if present.
-    pub fn immediate(&self, arg: Sym) -> Option<i64> {
-        self.imms.iter().find(|i| i.arg == arg).map(|i| i.value)
+    /// The operands of one evaluation: the values of the register sources,
+    /// in `srcs` order, in the source slots.
+    #[inline]
+    pub fn operands_with(&self, sources: impl IntoIterator<Item = TypedValue>) -> Operands {
+        let mut operands = self.operands;
+        for (slot, value) in operands.iter_mut().zip(sources) {
+            *slot = value;
+        }
+        operands
     }
 }
+
+/// The operand layout of a descriptor's semantics: the names of its
+/// register sources in argument order, then of its immediates, then `pc`.
+/// Position `i` names operand slot `i`, the slot a compiled expression
+/// reads the argument from; where a name repeats, the last slot wins, as
+/// when binding the names in this order.
+pub fn operand_slots(d: &InstructionDescriptor) -> Result<InlineVec<Sym, MAX_OPERANDS>, String> {
+    let non_dest = || d.arguments.iter().filter(|a| !a.write_back);
+    let is_reg = |kind| matches!(kind, ArgKind::IntReg | ArgKind::FpReg);
+    let mut slots = InlineVec::new();
+    for arg in non_dest().filter(|a| is_reg(a.kind)) {
+        if slots.len() == MAX_SOURCES {
+            return Err(format!("`{}`: more than {MAX_SOURCES} register sources", d.name));
+        }
+        slots.push(Sym::new(&arg.name));
+    }
+    let sources = slots.len();
+    for arg in non_dest().filter(|a| !is_reg(a.kind)) {
+        if slots.len() - sources == MAX_IMMEDIATES {
+            return Err(format!("`{}`: more than {MAX_IMMEDIATES} immediates", d.name));
+        }
+        slots.push(Sym::new(&arg.name));
+    }
+    slots.push(SYM_PC);
+    Ok(slots)
+}
+
+/// Most immediates an instruction has.
+const MAX_IMMEDIATES: usize = MAX_OPERANDS - MAX_SOURCES - 1;
 
 /// Compiled semantics of one instruction descriptor.
 #[derive(Debug, Clone, Default)]
@@ -199,9 +233,17 @@ impl PredecodedProgram {
         let mut compile_errors: Vec<Option<String>> = Vec::with_capacity(isa.len());
         for (_, d) in isa.iter_with_ids() {
             names.push(Sym::new(&d.name));
+            let slots = match operand_slots(d) {
+                Ok(slots) => slots,
+                Err(error) => {
+                    semantics.push(DescSemantics::default());
+                    compile_errors.push(Some(error));
+                    continue;
+                }
+            };
             let mut error = None;
             let mut compile = |expr: &str| -> Option<CompiledExpr> {
-                match CompiledExpr::compile(expr) {
+                match CompiledExpr::compile(expr, &slots) {
                     Ok(compiled) => Some(compiled),
                     Err(e) => {
                         error = Some(format!("instruction `{}`: {e}", d.name));
@@ -246,8 +288,10 @@ impl PredecodedProgram {
             }
             let d = isa.get_by_id(desc).expect("id from id_of");
 
+            // The operand layout (checked above) puts the sources first, the
+            // immediates after them and the pc last.
             let mut srcs = InlineVec::new();
-            let mut imms = InlineVec::new();
+            let mut imms: InlineVec<TypedValue, MAX_IMMEDIATES> = InlineVec::new();
             let mut dst = None;
             for (i, arg) in d.arguments.iter().enumerate() {
                 let sym = Sym::new(&arg.name);
@@ -263,15 +307,17 @@ impl PredecodedProgram {
                         let reg = ins.reg(i).ok_or_else(|| {
                             format!("`{}`: operand {i} is not a register", ins.mnemonic)
                         })?;
-                        srcs.try_push(SrcSpec { arg: sym, reg }).map_err(|_| {
-                            format!("`{}`: more than 3 register sources", ins.mnemonic)
-                        })?;
+                        srcs.push(SrcSpec { arg: sym, reg });
                     }
                     ArgKind::Imm | ArgKind::Label => {
-                        imms.try_push(ImmSpec { arg: sym, value: ins.imm(i).unwrap_or(0) })
-                            .map_err(|_| format!("`{}`: more than 2 immediates", ins.mnemonic))?;
+                        imms.push(TypedValue::int(ins.imm(i).unwrap_or(0) as i32));
                     }
                 }
+            }
+            let mut operands = [TypedValue::default(); MAX_OPERANDS];
+            let pc = TypedValue::int(ins.address as i32);
+            for (slot, value) in operands[srcs.len()..].iter_mut().zip(imms.iter().chain([&pc])) {
+                *slot = *value;
             }
 
             let store_data = if d.is_store() {
@@ -299,7 +345,7 @@ impl PredecodedProgram {
                 memory: d.memory,
                 srcs,
                 dst,
-                imms,
+                operands,
                 store_data,
             });
         }
@@ -379,7 +425,9 @@ mod tests {
         assert_eq!(addi.srcs.len(), 1);
         assert_eq!(addi.srcs[0].reg, RegisterId::x(0));
         assert_eq!(addi.dst.unwrap().reg, RegisterId::x(10));
-        assert_eq!(addi.immediate(rvsim_isa::SYM_IMM), Some(5));
+        // Slots: rs1, then imm, then pc.
+        let operands = addi.operands_with([TypedValue::int(9)]);
+        assert_eq!(operands[..3], [TypedValue::int(9), TypedValue::int(5), TypedValue::int(0)]);
 
         let mul = pp.entry(4).unwrap();
         assert_eq!(mul.latency, LatencyClass::IntMul);
@@ -399,6 +447,9 @@ mod tests {
         assert!(beq.is_cond_branch);
         assert!(!beq.is_uncond_jump);
         assert!(beq.is_control_flow());
+
+        let beq_operands = beq.operands_with([TypedValue::int(1), TypedValue::int(2)]);
+        assert_eq!(beq_operands[2..4], [TypedValue::int(-16), TypedValue::int(16)], "offset, pc");
 
         let jal = pp.entry(20).unwrap();
         assert!(jal.is_uncond_jump);
@@ -426,6 +477,24 @@ mod tests {
         assert!(sem.condition.is_none());
         assert_eq!(pp.name(add.desc), "add");
         assert!(pp.descriptor_count() > 60);
+    }
+
+    #[test]
+    fn operand_slots_put_sources_then_immediates_then_pc() {
+        let isa = InstructionSet::rv32imf();
+        let names = |mnemonic: &str| -> Vec<String> {
+            let slots = operand_slots(isa.get(mnemonic).unwrap()).unwrap();
+            slots.iter().map(|s| s.as_str().to_string()).collect()
+        };
+        assert_eq!(names("add"), ["rs1", "rs2", "pc"]);
+        assert_eq!(names("sw"), ["rs2", "rs1", "imm", "pc"], "the store data is a source");
+        assert_eq!(names("lui"), ["imm", "pc"]);
+        assert_eq!(names("fmadd.s"), ["rs1", "rs2", "rs3", "pc"]);
+
+        let mut wide = isa.get("fmadd.s").unwrap().clone();
+        wide.arguments.push(rvsim_isa::ArgumentDescriptor::fp_reg("rs4"));
+        let err = operand_slots(&wide).unwrap_err();
+        assert!(err.contains("more than 3 register sources"), "{err}");
     }
 
     #[test]

@@ -9,26 +9,35 @@
 //! A cycle's host cost follows what happens in it.  The whole program is
 //! predecoded at construction ([`crate::predecode::PredecodedProgram`]), so
 //! fetch — and therefore every mispredict replay and every `step_back`
-//! re-simulation — is an array index, and execution runs compiled semantics
-//! expressions.  The in-flight window lives in a ring
-//! ([`crate::inflight::InFlightRing`]) instead of a `BTreeMap`.  A result
-//! wakes only the sources that wait for it: dispatch links each waiting
-//! source into its rename register's wake-up list, and a flush unlinks the
-//! squashed ones.  Commit pops the fronts of the reorder buffer and the
-//! load and store buffers.
+//! re-simulation — is an array index.  Semantics are compiled against
+//! operand slots fixed at predecode, so executing an instruction fills a
+//! fixed operand array from its sources and runs the compiled expression,
+//! with no name lookup.  The in-flight window lives in a ring
+//! ([`crate::inflight::InFlightRing`]), and every stage reads and updates
+//! an instruction where it lives there, through short borrows by id: no
+//! stage moves a `SimCode` out of the ring and back.
 //!
-//! A cycle does not allocate once the pipeline has warmed up: the lists a
-//! stage builds live in scratch buffers the simulator keeps between cycles,
-//! and the wake-up lists are flat arrays sized at construction.
+//! A result wakes only the sources that wait for it: dispatch links each
+//! waiting source into its rename register's wake-up list, and a flush
+//! unlinks the squashed ones.  The wake-up that delivers an instruction's
+//! last source value puts it on its issue window's ready list, which is in
+//! age order, so issue hands each free unit the oldest ready instruction it
+//! can execute without scanning the window.  Commit pops the fronts of the
+//! reorder buffer and the load and store buffers.
 //!
-//! Everything fixed at construction (configuration, program, predecoded
-//! table, static mix) sits behind one shared [`Arc`], and main memory is
-//! copy-on-write pages, so a clone of a simulator copies only its mutable
-//! pipeline state.  Backward stepping builds on that: [`Simulator::step_back_by`]
+//! A cycle does not allocate once the pipeline has warmed up: the ids of
+//! the finishing units live in a buffer the simulator keeps between cycles,
+//! the ready lists are preallocated, and the wake-up lists are flat arrays
+//! sized at construction.
+//!
+//! Everything fixed at construction (configuration, unit names, program,
+//! predecoded table, static mix) sits behind one shared [`Arc`], and main
+//! memory is copy-on-write pages, so a clone of a simulator copies only its
+//! mutable pipeline state.  Backward stepping builds on that: [`Simulator::step_back_by`]
 //! keeps clones ("checkpoints") of states its own replay passes, restores the
 //! nearest one at or below its target and replays only the gap.
 
-use crate::config::{ArchitectureConfig, FpUnitConfig, FxUnitConfig};
+use crate::config::{ArchitectureConfig, FunctionalUnitsConfig};
 use crate::inflight::InFlightRing;
 use crate::instruction::{
     DestOperand, InstrId, InstructionState, SimCode, SourceOperand, MAX_SOURCES,
@@ -39,13 +48,14 @@ use crate::register_file::{DestRename, OperandRead, RegisterFile};
 use crate::stats::{SimulationStatistics, UnitUtilization};
 use crate::trace::{MemEffect, RetireEvent};
 use crate::units::{
-    FunctionalUnit, IssueWindow, LoadBuffer, LoadEntry, ReorderBuffer, StoreBuffer, StoreEntry,
+    FunctionalUnit, IssueWindow, LoadBuffer, LoadEntry, Ready, ReorderBuffer, StoreBuffer,
+    StoreEntry,
 };
 use crate::wakeup::WakeupLists;
 use rvsim_asm::{assemble, AssemblerOptions, Program};
 use rvsim_isa::{
-    Bindings, DataType, Exception, FunctionalClass, InstructionSet, RegisterId, RegisterValue,
-    TypedValue, SYM_PC,
+    CompiledOutput, DataType, Exception, FunctionalClass, InstructionSet, Operands, RegisterId,
+    RegisterValue, TypedValue,
 };
 use rvsim_mem::{MemorySettings, MemorySubsystem};
 use rvsim_predictor::BranchPredictor;
@@ -110,26 +120,27 @@ fn keeps_checkpoint(cycle: u64, target: u64) -> bool {
     (target - cycle) >> zeros < CHECKPOINT_INTERVAL
 }
 
-/// What the memory stage does for a pending load this cycle.
-#[derive(Debug, Clone, Copy)]
-enum LoadAction {
-    /// Take the value of an older store to the same address.
-    Forward(u64),
-    /// Send the load to memory.
-    Issue,
+/// The issue window of each functional class: an index into
+/// `Simulator::windows`.
+fn window_of(class: FunctionalClass) -> usize {
+    match class {
+        FunctionalClass::Fx => 0,
+        FunctionalClass::Fp => 1,
+        FunctionalClass::Load | FunctionalClass::Store => 2,
+        FunctionalClass::Branch => 3,
+    }
 }
 
-/// Lists a cycle builds and drops, kept between cycles so that a cycle
-/// does not allocate.  Each is empty outside the stage that fills it, so a
-/// clone copies none of them.
-#[derive(Debug, Clone, Default)]
-struct Scratch {
-    /// Instructions whose functional unit finishes this cycle.
-    finished: Vec<InstrId>,
-    /// Loads whose data arrives this cycle, with the raw data.
-    completed: Vec<(InstrId, TypedValue)>,
-    /// What each pending load does this cycle.
-    load_actions: Vec<(InstrId, LoadAction)>,
+/// The display names of the functional units, in the order
+/// `Simulator::units` holds them: FX, FP, L/S, then branch units.
+fn unit_names(units: &FunctionalUnitsConfig) -> impl Iterator<Item = String> {
+    let classes = [
+        ("FX", units.fx_units.len()),
+        ("FP", units.fp_units.len()),
+        ("LS", units.ls_units),
+        ("BR", units.branch_units),
+    ];
+    classes.into_iter().flat_map(|(prefix, count)| (1..=count).map(move |i| format!("{prefix}{i}")))
 }
 
 /// The complete processor simulator.
@@ -146,27 +157,26 @@ pub struct Simulator {
     predictor: BranchPredictor,
 
     rob: ReorderBuffer,
-    fx_window: IssueWindow,
-    fp_window: IssueWindow,
-    ls_window: IssueWindow,
-    branch_window: IssueWindow,
-    fx_units: Vec<(FunctionalUnit, FxUnitConfig)>,
-    fp_units: Vec<(FunctionalUnit, FpUnitConfig)>,
-    ls_units: Vec<FunctionalUnit>,
-    branch_units: Vec<FunctionalUnit>,
+    /// FX, FP, load/store and branch issue windows (see [`window_of`]).
+    windows: [IssueWindow; 4],
+    /// Every functional unit, in [`unit_names`] order; their configurations
+    /// are in the image.
+    units: Vec<FunctionalUnit>,
     load_buffer: LoadBuffer,
     store_buffer: StoreBuffer,
 
     in_flight: InFlightRing,
     fetch_buffer: VecDeque<InstrId>,
     wakeup: WakeupLists,
-    scratch: Scratch,
+    /// Instructions whose functional unit finishes this cycle: kept between
+    /// cycles so that a cycle does not allocate, and empty outside the
+    /// write-back stage, so a clone copies none of it.
+    finished: Vec<InstrId>,
 
     pc: u64,
     cycle: u64,
     next_id: InstrId,
     fetch_stall_until: u64,
-    mem_issues_this_cycle: usize,
     halted: Option<HaltReason>,
     main_returned: bool,
 
@@ -205,6 +215,7 @@ impl Simulator {
         // Decode once: every later fetch (including mispredict replays and
         // `step_back` re-simulation) is an array index into this table.
         let predecoded = PredecodedProgram::new(&program, &isa)?;
+        check_units(&predecoded, &config.units)?;
 
         let mut mem = MemorySubsystem::new(
             config.memory.memory_capacity,
@@ -249,44 +260,18 @@ impl Simulator {
             regs,
             predictor: BranchPredictor::new(config.predictor.clone())?,
             rob: ReorderBuffer::new(config.buffers.rob_size),
-            fx_window: IssueWindow::new("FX issue window", config.buffers.issue_window_size),
-            fp_window: IssueWindow::new("FP issue window", config.buffers.issue_window_size),
-            ls_window: IssueWindow::new("L/S issue window", config.buffers.issue_window_size),
-            branch_window: IssueWindow::new(
-                "Branch issue window",
-                config.buffers.issue_window_size,
-            ),
-            fx_units: config
-                .units
-                .fx_units
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (FunctionalUnit::new(&format!("FX{}", i + 1)), c.clone()))
-                .collect(),
-            fp_units: config
-                .units
-                .fp_units
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (FunctionalUnit::new(&format!("FP{}", i + 1)), c.clone()))
-                .collect(),
-            ls_units: (0..config.units.ls_units)
-                .map(|i| FunctionalUnit::new(&format!("LS{}", i + 1)))
-                .collect(),
-            branch_units: (0..config.units.branch_units)
-                .map(|i| FunctionalUnit::new(&format!("BR{}", i + 1)))
-                .collect(),
+            windows: std::array::from_fn(|_| IssueWindow::new(config.buffers.issue_window_size)),
+            units: vec![FunctionalUnit::default(); unit_names(&config.units).count()],
             load_buffer: LoadBuffer::new(config.memory.load_buffer_size),
             store_buffer: StoreBuffer::new(config.memory.store_buffer_size),
             in_flight: InFlightRing::new(1),
             fetch_buffer: VecDeque::new(),
             wakeup: WakeupLists::new(config.memory.rename_file_size, config.buffers.rob_size),
-            scratch: Scratch::default(),
+            finished: Vec::new(),
             pc,
             cycle: 0,
             next_id: 1,
             fetch_stall_until: 0,
-            mem_issues_this_cycle: 0,
             halted: None,
             main_returned: false,
             stats: SimulationStatistics {
@@ -488,10 +473,10 @@ impl Simulator {
                 s.dynamic_mix.insert(name.as_str().to_string(), count);
             }
         }
-        s.unit_utilization = self
-            .all_units()
-            .map(|u| UnitUtilization {
-                name: u.name.clone(),
+        s.unit_utilization = unit_names(&self.image.config.units)
+            .zip(&self.units)
+            .map(|(name, u)| UnitUtilization {
+                name,
                 busy_cycles: u.busy_cycles,
                 executed: u.executed,
             })
@@ -499,25 +484,17 @@ impl Simulator {
         s
     }
 
-    fn all_units(&self) -> impl Iterator<Item = &FunctionalUnit> {
-        self.fx_units
-            .iter()
-            .map(|(u, _)| u)
-            .chain(self.fp_units.iter().map(|(u, _)| u))
-            .chain(self.ls_units.iter())
-            .chain(self.branch_units.iter())
-    }
-
     // ------------------------------------------------------------------- run
 
     /// Run until the simulation halts or `max_cycles` is reached.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, String> {
+        let image = Arc::clone(&self.image);
         while self.halted.is_none() {
             if self.cycle >= max_cycles {
                 self.halted = Some(HaltReason::MaxCyclesReached);
                 break;
             }
-            self.step();
+            self.step_with(&image);
         }
         Ok(RunResult {
             halt: self.halted.clone().unwrap_or(HaltReason::MaxCyclesReached),
@@ -571,8 +548,9 @@ impl Simulator {
         let nearest = Arc::clone(self.checkpoints.last().expect("the cycle-0 state is kept"));
         self.restore(&nearest);
         let mut checkpoints = std::mem::take(&mut self.checkpoints);
+        let image = Arc::clone(&self.image);
         while self.cycle < target && self.halted.is_none() {
-            self.step();
+            self.step_with(&image);
             if keeps_checkpoint(self.cycle, target) {
                 checkpoints.push(Arc::new(self.clone()));
             }
@@ -582,29 +560,37 @@ impl Simulator {
 
     /// Advance the simulation by one clock cycle.
     pub fn step(&mut self) {
+        let image = Arc::clone(&self.image);
+        self.step_with(&image);
+    }
+
+    /// [`step`](Self::step) with a handle to this simulator's image that the
+    /// caller holds: the stages borrow its predecoded table and
+    /// configuration while they mutate the pipeline, and a loop of steps
+    /// takes the handle once instead of once per cycle.
+    fn step_with(&mut self, image: &Image) {
         if self.halted.is_some() {
             return;
         }
         let cycle = self.cycle;
-        self.mem_issues_this_cycle = 0;
-
-        // One shared handle to the image for the whole cycle; the stages
-        // borrow its predecoded table so the hot loop does no refcount traffic.
-        let image = Arc::clone(&self.image);
         let pp = &image.predecoded;
+        let config = &image.config;
 
-        self.stage_commit(pp, cycle);
+        self.stage_commit(pp, config.buffers.commit_width, cycle);
         if self.halted.is_some() {
             self.cycle += 1;
             return;
         }
         self.stage_writeback(pp, cycle);
-        self.stage_memory(pp, cycle);
-        self.stage_issue(cycle);
-        self.stage_dispatch(pp, cycle);
+        self.stage_memory(pp, config.units.memory_units, cycle);
+        self.stage_issue(&config.units, cycle);
+        self.stage_dispatch(pp, config.buffers.fetch_width, cycle);
         self.stage_fetch(pp, cycle);
         #[cfg(debug_assertions)]
-        self.check_wakeup_lists();
+        {
+            self.check_wakeup_lists();
+            self.check_issue_windows();
+        }
 
         self.cycle += 1;
         self.check_end_of_program();
@@ -637,17 +623,50 @@ impl Simulator {
         assert_eq!(self.wakeup.count(), waiting, "wake-up lists hold only waiting sources");
     }
 
+    /// The issue-window invariant, checked against a full scan of the
+    /// dispatched instructions: each window counts the instructions waiting
+    /// in it, and its ready list holds exactly those with every source
+    /// value, oldest first.
+    #[cfg(debug_assertions)]
+    fn check_issue_windows(&self) {
+        let mut counts = [0; 4];
+        let mut ready = self.windows.each_ref().map(IssueWindow::ready);
+        for id in self.rob.iter() {
+            let code = self.in_flight.get(id).expect("a ROB entry is in flight");
+            if code.state != InstructionState::Dispatched {
+                continue;
+            }
+            let window = window_of(code.class);
+            counts[window] += 1;
+            if code.sources_ready() {
+                let expected = Ready { id, mul_div: code.latency.is_mul_div() };
+                assert_eq!(
+                    ready[window].next(),
+                    Some(expected),
+                    "window {window}: instruction {id} is ready but not next in the ready list"
+                );
+            }
+        }
+        for (window, (list, count)) in ready.iter_mut().zip(counts).enumerate() {
+            assert_eq!(list.next(), None, "window {window} lists an instruction that is not ready");
+            assert_eq!(self.windows[window].len(), count, "window {window} miscounts");
+        }
+    }
+
+    /// The in-flight instruction `id`, which the caller knows is live.
+    fn code_mut(&mut self, id: InstrId) -> &mut SimCode {
+        self.in_flight.get_mut(id).expect("instruction is in flight")
+    }
+
     // ---------------------------------------------------------------- commit
 
-    fn stage_commit(&mut self, pp: &PredecodedProgram, cycle: u64) {
-        for _ in 0..self.image.config.buffers.commit_width {
+    fn stage_commit(&mut self, pp: &PredecodedProgram, commit_width: usize, cycle: u64) {
+        for _ in 0..commit_width {
             let Some(head) = self.rob.head() else { break };
             let Some(code) = self.in_flight.get(head) else { break };
             if !code.is_done() {
                 break;
             }
-            let mut code = self.in_flight.take(head).unwrap();
-            self.in_flight.trim();
             let popped = self.rob.pop_head();
             debug_assert_eq!(popped, Some(head));
             let entry = pp.entry(code.pc).expect("committed pc is predecoded");
@@ -659,8 +678,7 @@ impl Simulator {
                     LogEvent::Exception { pc: code.pc, exception: Box::new(exception.clone()) },
                 );
                 self.halted = Some(HaltReason::Exception(exception));
-                code.state = InstructionState::Committed;
-                code.timestamps.commit = Some(cycle);
+                self.in_flight.remove(head);
                 return;
             }
 
@@ -676,17 +694,12 @@ impl Simulator {
                     store.value.expect("store value ready"),
                 );
                 store_effect = Some(MemEffect { address, size: store.size, value });
-                match self.mem.store(address, store.size, value, cycle) {
-                    Ok(tx) => {
-                        code.cache_hit = Some(tx.cache_hit);
-                        code.timestamps.memory = Some(cycle);
-                    }
-                    Err(e) => {
-                        let exception = Exception::InvalidAddress { address };
-                        self.log.push(cycle, LogEvent::StoreFault { address, error: Box::new(e) });
-                        self.halted = Some(HaltReason::Exception(exception));
-                        return;
-                    }
+                if let Err(e) = self.mem.store(address, store.size, value, cycle) {
+                    let exception = Exception::InvalidAddress { address };
+                    self.log.push(cycle, LogEvent::StoreFault { address, error: Box::new(e) });
+                    self.halted = Some(HaltReason::Exception(exception));
+                    self.in_flight.remove(head);
+                    return;
                 }
                 self.store_buffer.pop_front();
                 self.stats.stores += 1;
@@ -698,10 +711,8 @@ impl Simulator {
             }
 
             // Register write-back becomes architectural.
-            if let Some(dest) = &code.dest {
-                if let Some(tag) = dest.tag {
-                    self.regs.commit(tag);
-                }
+            if let Some(DestOperand { tag: Some(tag), .. }) = code.dest {
+                self.regs.commit(tag);
             }
 
             // Statistics.  The dynamic mix is a dense per-descriptor counter;
@@ -750,8 +761,7 @@ impl Simulator {
                 });
             }
 
-            code.state = InstructionState::Committed;
-            code.timestamps.commit = Some(cycle);
+            self.in_flight.remove(head);
         }
     }
 
@@ -759,26 +769,8 @@ impl Simulator {
 
     fn stage_writeback(&mut self, pp: &PredecodedProgram, cycle: u64) {
         // Gather all functional-unit completions for this cycle, oldest first.
-        let mut finished = std::mem::take(&mut self.scratch.finished);
-        for (unit, _) in &mut self.fx_units {
-            if let Some(id) = unit.finishes_at(cycle) {
-                unit.release();
-                finished.push(id);
-            }
-        }
-        for (unit, _) in &mut self.fp_units {
-            if let Some(id) = unit.finishes_at(cycle) {
-                unit.release();
-                finished.push(id);
-            }
-        }
-        for unit in &mut self.ls_units {
-            if let Some(id) = unit.finishes_at(cycle) {
-                unit.release();
-                finished.push(id);
-            }
-        }
-        for unit in &mut self.branch_units {
+        let mut finished = std::mem::take(&mut self.finished);
+        for unit in &mut self.units {
             if let Some(id) = unit.finishes_at(cycle) {
                 unit.release();
                 finished.push(id);
@@ -787,83 +779,62 @@ impl Simulator {
         finished.sort_unstable();
 
         for &id in &finished {
-            let Some(mut code) = self.in_flight.take(id) else { continue };
+            // A mispredicted branch finished earlier in this loop may have
+            // squashed `id`.
+            let Some(code) = self.in_flight.get(id) else { continue };
+            debug_assert!(code.sources_ready(), "instruction {id} issued before its sources");
             let entry = pp.entry(code.pc).expect("executed pc is predecoded");
             let sem = pp.semantics(code.desc);
+            let operands =
+                entry.operands_with(code.sources.iter().map(|s| s.value.unwrap_or_default()));
             match code.class {
                 FunctionalClass::Fx | FunctionalClass::Fp => {
-                    self.finish_alu(&mut code, entry, sem, cycle);
+                    self.finish_alu(id, &operands, sem, cycle);
                 }
                 FunctionalClass::Branch => {
-                    self.finish_branch(&mut code, entry, sem, cycle);
+                    self.finish_branch(id, entry, &operands, sem, cycle);
                 }
                 FunctionalClass::Load => {
-                    self.finish_load_address(&mut code, entry, sem, cycle);
+                    self.finish_load_address(id, &operands, sem, cycle);
                 }
                 FunctionalClass::Store => {
-                    self.finish_store_address(&mut code, entry, sem, cycle);
+                    self.finish_store_address(id, entry, &operands, sem, cycle);
                 }
             }
-            self.in_flight.put(code);
         }
         finished.clear();
-        self.scratch.finished = finished;
+        self.finished = finished;
     }
 
-    /// Bind the instruction's known source values, immediates and pc for a
-    /// compiled-expression evaluation — inline storage, no hashing.
-    fn bindings_for(code: &SimCode, entry: &PredecodedInstr) -> Bindings {
-        let mut bindings = Bindings::new();
-        for src in code.sources.iter() {
-            if let Some(v) = src.value {
-                bindings.bind(src.arg, v);
-            }
+    fn finish_alu(&mut self, id: InstrId, operands: &Operands, sem: &DescSemantics, cycle: u64) {
+        match sem.interpretable.as_ref().map(|expr| expr.run(operands)) {
+            Some(Ok(CompiledOutput { assigned: Some(value), .. })) => self.write_dest(id, value),
+            Some(Err(exception)) => self.code_mut(id).exception = Some(exception),
+            _ => {}
         }
-        for imm in entry.imms.iter() {
-            bindings.bind(imm.arg, TypedValue::int(imm.value as i32));
-        }
-        bindings.bind(SYM_PC, TypedValue::int(code.pc as i32));
-        bindings
-    }
-
-    fn finish_alu(
-        &mut self,
-        code: &mut SimCode,
-        entry: &PredecodedInstr,
-        sem: &DescSemantics,
-        cycle: u64,
-    ) {
-        if let Some(expr) = &sem.interpretable {
-            let bindings = Self::bindings_for(code, entry);
-            match expr.run(&bindings) {
-                Ok(output) => {
-                    if let Some((_, value)) = output.assignments.first() {
-                        self.write_dest(code, *value);
-                    }
-                }
-                Err(exception) => {
-                    code.exception = Some(exception);
-                }
-            }
-        }
+        let code = self.code_mut(id);
         code.state = InstructionState::Done;
         code.timestamps.execute = Some(cycle);
     }
 
     fn finish_branch(
         &mut self,
-        code: &mut SimCode,
+        id: InstrId,
         entry: &PredecodedInstr,
+        operands: &Operands,
         sem: &DescSemantics,
         cycle: u64,
     ) {
-        let bindings = Self::bindings_for(code, entry);
+        let code = self.code_mut(id);
+        let (pc, predicted_taken, predicted_next) =
+            (code.pc, code.predicted_taken, code.predicted_next_pc);
         // Direction.
+        let mut exception = None;
         let taken = match &sem.condition {
-            Some(cond) => match cond.run(&bindings) {
+            Some(cond) => match cond.run(operands) {
                 Ok(out) => out.result.map(|v| v.is_true()).unwrap_or(false),
                 Err(e) => {
-                    code.exception = Some(e);
+                    exception = Some(e);
                     false
                 }
             },
@@ -871,135 +842,138 @@ impl Simulator {
         };
         // Target.
         let target = match &sem.target {
-            Some(t) => match t.run(&bindings) {
-                Ok(out) => out.result.map(|v| v.as_u32() as u64).unwrap_or(code.pc + 4),
+            Some(t) => match t.run(operands) {
+                Ok(out) => out.result.map(|v| v.as_u32() as u64).unwrap_or(pc + 4),
                 Err(e) => {
-                    code.exception = Some(e);
-                    code.pc + 4
+                    exception = Some(e);
+                    pc + 4
                 }
             },
-            None => code.pc + 4,
+            None => pc + 4,
         };
         // Link register write (jal/jalr).
-        if let Some(expr) = &sem.interpretable {
-            if let Ok(out) = expr.run(&bindings) {
-                if let Some((_, value)) = out.assignments.first() {
-                    self.write_dest(code, *value);
-                }
-            }
+        if let Some(Ok(CompiledOutput { assigned: Some(value), .. })) =
+            sem.interpretable.as_ref().map(|expr| expr.run(operands))
+        {
+            self.write_dest(id, value);
         }
 
-        let actual_next = if taken { target } else { code.pc + 4 };
+        let actual_next = if taken { target } else { pc + 4 };
+        let mispredicted = actual_next != predicted_next;
+        let code = self.code_mut(id);
+        if exception.is_some() {
+            code.exception = exception;
+        }
         code.actual_taken = Some(taken);
         code.actual_next_pc = Some(actual_next);
+        code.mispredicted = mispredicted;
         code.state = InstructionState::Done;
         code.timestamps.execute = Some(cycle);
+        let mnemonic = code.mnemonic;
 
         // Train the predictor.
         if entry.is_cond_branch {
-            self.predictor.update(code.pc, code.predicted_taken, taken, target);
+            self.predictor.update(pc, predicted_taken, taken, target);
         } else {
-            self.predictor.train_btb(code.pc, target);
+            self.predictor.train_btb(pc, target);
         }
 
         // Misprediction: flush everything younger and redirect the front end.
-        if actual_next != code.predicted_next_pc {
-            code.mispredicted = true;
+        if mispredicted {
             self.log.push(
                 cycle,
                 LogEvent::Mispredict {
-                    mnemonic: code.mnemonic,
-                    pc: code.pc,
-                    predicted: code.predicted_next_pc,
+                    mnemonic,
+                    pc,
+                    predicted: predicted_next,
                     actual: actual_next,
                 },
             );
-            self.flush_after(code.id, actual_next, cycle);
+            self.flush_after(id, actual_next, cycle);
         }
     }
 
     fn finish_load_address(
         &mut self,
-        code: &mut SimCode,
-        entry: &PredecodedInstr,
+        id: InstrId,
+        operands: &Operands,
         sem: &DescSemantics,
         cycle: u64,
     ) {
-        let bindings = Self::bindings_for(code, entry);
         let address_expr = sem.address.as_ref().expect("load has an address expression");
-        match address_expr.run(&bindings) {
+        let state = match address_expr.run(operands) {
             Ok(out) => {
                 let address = out.result.map(|v| v.as_u32() as u64).unwrap_or(0);
-                code.effective_address = Some(address);
-                for load in self.load_buffer.iter_mut() {
-                    if load.id == code.id {
-                        load.address = Some(address);
-                    }
+                if let Some(load) = self.load_buffer.get_mut_by_id(id) {
+                    load.address = Some(address);
                 }
-                code.state = InstructionState::WaitingMemory;
+                self.code_mut(id).effective_address = Some(address);
+                InstructionState::WaitingMemory
             }
             Err(e) => {
-                code.exception = Some(e);
-                code.state = InstructionState::Done;
+                self.code_mut(id).exception = Some(e);
+                InstructionState::Done
             }
-        }
+        };
+        let code = self.code_mut(id);
+        code.state = state;
         code.timestamps.execute = Some(cycle);
     }
 
     fn finish_store_address(
         &mut self,
-        code: &mut SimCode,
+        id: InstrId,
         entry: &PredecodedInstr,
+        operands: &Operands,
         sem: &DescSemantics,
         cycle: u64,
     ) {
-        let bindings = Self::bindings_for(code, entry);
         let address_expr = sem.address.as_ref().expect("store has an address expression");
         let memory = entry.memory.expect("store has a memory descriptor");
-        match address_expr.run(&bindings) {
+        match address_expr.run(operands) {
             Ok(out) => {
                 let address = out.result.map(|v| v.as_u32() as u64).unwrap_or(0);
-                code.effective_address = Some(address);
-                let value = entry
-                    .store_data
-                    .and_then(|i| code.sources[i as usize].value)
-                    .unwrap_or_default();
-                code.store_value = Some(value);
+                let value = entry.store_data.map(|i| operands[i as usize]).unwrap_or_default();
                 let raw = match memory.data_type {
                     DataType::Float => value.bits() & 0xffff_ffff,
                     DataType::Double => value.bits(),
                     _ => value.as_u64(),
                 };
-                for store in self.store_buffer.iter_mut() {
-                    if store.id == code.id {
-                        store.address = Some(address);
-                        store.value = Some(raw);
-                    }
+                if let Some(store) = self.store_buffer.get_mut_by_id(id) {
+                    store.address = Some(address);
+                    store.value = Some(raw);
                 }
-                code.state = InstructionState::Done;
+                let code = self.code_mut(id);
+                code.effective_address = Some(address);
+                code.store_value = Some(value);
             }
-            Err(e) => {
-                code.exception = Some(e);
-                code.state = InstructionState::Done;
-            }
+            Err(e) => self.code_mut(id).exception = Some(e),
         }
+        let code = self.code_mut(id);
+        code.state = InstructionState::Done;
         code.timestamps.execute = Some(cycle);
     }
 
-    /// Record the destination value, write the rename register and wake the
-    /// sources waiting for it.
-    fn write_dest(&mut self, code: &mut SimCode, value: TypedValue) {
+    /// Record instruction `id`'s destination value, write its rename
+    /// register and wake the sources waiting for it.  A waiter whose last
+    /// missing source value this was becomes ready in its issue window.
+    fn write_dest(&mut self, id: InstrId, value: TypedValue) {
+        let code = self.code_mut(id);
         code.result = Some(value);
-        let Some(dest) = &code.dest else { return };
-        let Some(tag) = dest.tag else { return };
         // Tag the value with the destination's declared data type for display.
-        let stored = RegisterValue { bits: value.bits(), data_type: dest.data_type };
+        let Some(DestOperand { tag: Some(tag), data_type, .. }) = code.dest else { return };
+        let stored = RegisterValue { bits: value.bits(), data_type };
         self.regs.write_phys(tag, stored);
         let typed = stored.typed();
         for (slot, source) in self.wakeup.take(tag) {
             let id = self.rob.id_in(slot);
             let waiter = self.in_flight.get_mut(id).expect("a waiting instruction is in flight");
             waiter.wake_up(source, tag, typed);
+            if waiter.sources_ready() {
+                debug_assert_eq!(waiter.state, InstructionState::Dispatched);
+                let ready = Ready { id, mul_div: waiter.latency.is_mul_div() };
+                self.windows[window_of(waiter.class)].mark_ready(ready);
+            }
         }
     }
 
@@ -1007,50 +981,34 @@ impl Simulator {
     /// the fetch unit to `redirect` and apply the flush penalty.
     fn flush_after(&mut self, id: InstrId, redirect: u64, cycle: u64) {
         // Wrong-path instructions still in the fetch buffer carry no renames.
-        for fid in self.fetch_buffer.drain(..) {
-            if let Some(mut code) = self.in_flight.take(fid) {
-                code.state = InstructionState::Squashed;
-                self.stats.squashed += 1;
-            }
-        }
-        // Dispatched instructions: youngest first so RAT rollback is correct
-        // and each waiting source is the youngest in its wake-up list.
+        self.stats.squashed += self.fetch_buffer.len() as u64;
+        self.fetch_buffer.clear();
+        // Dispatched instructions: youngest first so RAT rollback is correct,
+        // and each waiting source is the youngest in its wake-up list and
+        // each instruction the youngest in its issue window.
         while let Some((sid, slot)) = self.rob.pop_younger_than(id) {
-            if let Some(mut code) = self.in_flight.take(sid) {
-                for (source, src) in code.sources.iter().enumerate().rev() {
-                    if let (Some(tag), None) = (src.wait_tag, src.value) {
-                        self.wakeup.unlink(tag, (slot, source));
-                    }
+            let Some(code) = self.in_flight.get(sid) else { continue };
+            for (source, src) in code.sources.iter().enumerate().rev() {
+                if let (Some(tag), None) = (src.wait_tag, src.value) {
+                    self.wakeup.unlink(tag, (slot, source));
                 }
-                // Every waiter on its tag is younger and already unlinked, so
-                // the tag goes back to the free list with an empty list.
-                if let Some(DestOperand { tag: Some(tag), previous, .. }) = code.dest {
-                    self.regs.rollback(tag, previous);
-                }
-                code.state = InstructionState::Squashed;
-                self.stats.squashed += 1;
             }
-            self.fx_window.remove(sid);
-            self.fp_window.remove(sid);
-            self.ls_window.remove(sid);
-            self.branch_window.remove(sid);
+            // Every waiter on its tag is younger and already unlinked, so
+            // the tag goes back to the free list with an empty list.
+            if let Some(DestOperand { tag: Some(tag), previous, .. }) = code.dest {
+                self.regs.rollback(tag, previous);
+            }
+            if code.state == InstructionState::Dispatched {
+                self.windows[window_of(code.class)].squash_youngest(sid);
+            }
+            self.stats.squashed += 1;
         }
-        // No ring trim here: the flushing branch itself is still taken out by
-        // the write-back stage and must be able to return to its slot.
-        for (unit, _) in &mut self.fx_units {
+        self.in_flight.truncate_after(id);
+        for unit in &mut self.units {
             unit.squash_after(id);
         }
-        for (unit, _) in &mut self.fp_units {
-            unit.squash_after(id);
-        }
-        for unit in &mut self.ls_units {
-            unit.squash_after(id);
-        }
-        for unit in &mut self.branch_units {
-            unit.squash_after(id);
-        }
-        self.load_buffer.retain(|e| e.id <= id);
-        self.store_buffer.retain(|e| e.id <= id);
+        self.load_buffer.truncate_after(id);
+        self.store_buffer.truncate_after(id);
 
         self.pc = redirect;
         self.fetch_stall_until = cycle + 1 + self.image.config.buffers.flush_penalty;
@@ -1059,51 +1017,42 @@ impl Simulator {
 
     // ---------------------------------------------------------------- memory
 
-    fn stage_memory(&mut self, pp: &PredecodedProgram, cycle: u64) {
-        // 1. Complete loads whose data is available.
-        let mut completed = std::mem::take(&mut self.scratch.completed);
-        completed.extend(self.load_buffer.iter().filter_map(|e| {
-            match (e.completion, e.forwarded) {
-                (Some(completion), Some(value)) if completion <= cycle => Some((e.id, value)),
-                _ => None,
+    fn stage_memory(&mut self, pp: &PredecodedProgram, memory_units: usize, cycle: u64) {
+        // 1. Complete loads whose data is available.  The buffer entry is
+        // kept until commit for occupancy accounting.
+        for i in 0..self.load_buffer.len() {
+            let load = self.load_buffer[i];
+            match (load.completion, load.forwarded) {
+                (Some(completion), Some(raw)) if completion <= cycle => {
+                    self.complete_load(pp, load.id, raw, cycle);
+                }
+                _ => {}
             }
-        }));
-        for &(id, raw_value) in &completed {
-            let Some(mut code) = self.in_flight.take(id) else { continue };
-            let entry = pp.entry(code.pc).expect("load pc is predecoded");
-            let memory = entry.memory.expect("load has memory descriptor");
-            let value =
-                convert_loaded(raw_value.bits(), memory.size, memory.sign_extend, memory.data_type);
-            code.loaded_value = Some(value);
-            self.write_dest(&mut code, value);
-            code.state = InstructionState::Done;
-            code.timestamps.memory = Some(cycle);
-            self.in_flight.put(code);
-            // The buffer entry is kept until commit for occupancy accounting,
-            // but marked complete so it is not re-issued.
         }
-        completed.clear();
-        self.scratch.completed = completed;
 
-        // 2. Decide what each pending load can do this cycle.
-        let mut actions = std::mem::take(&mut self.scratch.load_actions);
-        for entry in self.load_buffer.iter() {
-            let Some(address) = entry.address else { continue };
-            if entry.completion.is_some() {
+        // 2. Forward to or start each load that has its address, in program
+        // order.
+        let mut issued = 0;
+        let mut i = 0;
+        while i < self.load_buffer.len() {
+            let load = self.load_buffer[i];
+            i += 1;
+            let Some(address) = load.address else { continue };
+            if load.completion.is_some() {
                 continue;
             }
             // Store-queue search: older stores only, youngest matching first.
             let mut blocked = false;
             let mut forward: Option<u64> = None;
-            for store in self.store_buffer.iter().filter(|s| s.id < entry.id) {
+            for store in self.store_buffer.iter().take_while(|s| s.id < load.id) {
                 match store.address {
                     None => {
                         blocked = true; // unknown address — conservative wait
                     }
                     Some(saddr) => {
-                        let overlap = ranges_overlap(saddr, store.size, address, entry.size);
+                        let overlap = ranges_overlap(saddr, store.size, address, load.size);
                         if overlap {
-                            if saddr == address && store.size == entry.size {
+                            if saddr == address && store.size == load.size {
                                 forward = store.value; // youngest older store wins
                                 blocked = forward.is_none();
                             } else {
@@ -1116,184 +1065,130 @@ impl Simulator {
             if blocked {
                 continue;
             }
-            if let Some(value) = forward {
-                actions.push((entry.id, LoadAction::Forward(value)));
-            } else if self.mem_issues_this_cycle < self.image.config.units.memory_units {
-                actions.push((entry.id, LoadAction::Issue));
-                self.mem_issues_this_cycle += 1;
+            if let Some(raw) = forward {
+                let entry = &mut self.load_buffer[i - 1];
+                entry.forwarded = Some(TypedValue::long(raw as i64));
+                entry.completion = Some(cycle + 1);
+            } else if issued < memory_units {
+                issued += 1;
+                match self.mem.load(address, load.size, cycle) {
+                    Ok(tx) => {
+                        let entry = &mut self.load_buffer[i - 1];
+                        entry.forwarded = Some(TypedValue::long(tx.value as i64));
+                        entry.completion = Some(tx.completion_cycle);
+                        if let Some(code) = self.in_flight.get_mut(load.id) {
+                            code.cache_hit = Some(tx.cache_hit);
+                        }
+                    }
+                    Err(_) => {
+                        if let Some(code) = self.in_flight.get_mut(load.id) {
+                            code.exception = Some(Exception::InvalidAddress { address });
+                            code.state = InstructionState::Done;
+                        }
+                        i -= 1;
+                        self.load_buffer.remove(i);
+                    }
+                }
             }
         }
+    }
 
-        // 3. Apply the decisions.
-        for &(id, action) in &actions {
-            match action {
-                LoadAction::Forward(raw) => {
-                    for entry in self.load_buffer.iter_mut() {
-                        if entry.id == id {
-                            entry.forwarded = Some(TypedValue::long(raw as i64));
-                            entry.completion = Some(cycle + 1);
-                        }
-                    }
-                }
-                LoadAction::Issue => {
-                    let (address, size) = {
-                        let entry = self.load_buffer.iter().find(|e| e.id == id).unwrap();
-                        (entry.address.unwrap(), entry.size)
-                    };
-                    match self.mem.load(address, size, cycle) {
-                        Ok(tx) => {
-                            for entry in self.load_buffer.iter_mut() {
-                                if entry.id == id {
-                                    entry.forwarded = Some(TypedValue::long(tx.value as i64));
-                                    entry.completion = Some(tx.completion_cycle);
-                                }
-                            }
-                            if let Some(code) = self.in_flight.get_mut(id) {
-                                code.cache_hit = Some(tx.cache_hit);
-                            }
-                        }
-                        Err(_) => {
-                            if let Some(code) = self.in_flight.get_mut(id) {
-                                code.exception = Some(Exception::InvalidAddress { address });
-                                code.state = InstructionState::Done;
-                            }
-                            self.load_buffer.retain(|e| e.id != id);
-                        }
-                    }
-                }
-            }
+    /// Deliver a load's raw data: convert it, write the destination and mark
+    /// the load done.  The memory stage calls this in every cycle from the
+    /// data's arrival until the load commits; once the data is delivered,
+    /// a later call only moves the memory timestamp to the current cycle.
+    fn complete_load(&mut self, pp: &PredecodedProgram, id: InstrId, raw: TypedValue, cycle: u64) {
+        let Some(code) = self.in_flight.get_mut(id) else { return };
+        code.timestamps.memory = Some(cycle);
+        if code.state == InstructionState::Done {
+            return;
         }
-        actions.clear();
-        self.scratch.load_actions = actions;
+        let entry = pp.entry(code.pc).expect("load pc is predecoded");
+        let memory = entry.memory.expect("load has memory descriptor");
+        let value = convert_loaded(raw.bits(), memory.size, memory.sign_extend, memory.data_type);
+        code.loaded_value = Some(value);
+        code.state = InstructionState::Done;
+        self.write_dest(id, value);
     }
 
     // ----------------------------------------------------------------- issue
 
-    fn latency_for(
-        latency: LatencyClass,
-        fx: Option<&FxUnitConfig>,
-        fp: Option<&FpUnitConfig>,
-    ) -> u64 {
-        if let Some(cfg) = fx {
-            return match latency {
-                LatencyClass::IntMul => cfg.mul_latency,
-                LatencyClass::IntDiv => cfg.div_latency,
-                _ => cfg.alu_latency,
-            };
+    fn stage_issue(&mut self, units: &FunctionalUnitsConfig, cycle: u64) {
+        // Each free unit, in order, takes the oldest ready instruction of its
+        // window that it can execute.
+        let mut unit = 0;
+        for fx in &units.fx_units {
+            self.issue(unit, window_of(FunctionalClass::Fx), fx.supports_mul_div, cycle, |class| {
+                match class {
+                    LatencyClass::IntMul => fx.mul_latency,
+                    LatencyClass::IntDiv => fx.div_latency,
+                    _ => fx.alu_latency,
+                }
+            });
+            unit += 1;
         }
-        if let Some(cfg) = fp {
-            return match latency {
-                LatencyClass::FpDiv => cfg.div_latency,
-                LatencyClass::FpSqrt => cfg.sqrt_latency,
-                LatencyClass::FpFma => cfg.fma_latency,
-                LatencyClass::FpMul => cfg.mul_latency,
-                _ => cfg.alu_latency,
-            };
+        for fp in &units.fp_units {
+            self.issue(unit, window_of(FunctionalClass::Fp), true, cycle, |class| match class {
+                LatencyClass::FpDiv => fp.div_latency,
+                LatencyClass::FpSqrt => fp.sqrt_latency,
+                LatencyClass::FpFma => fp.fma_latency,
+                LatencyClass::FpMul => fp.mul_latency,
+                _ => fp.alu_latency,
+            });
+            unit += 1;
         }
-        1
+        for _ in 0..units.ls_units {
+            self.issue(unit, window_of(FunctionalClass::Load), true, cycle, |_| units.ls_latency);
+            unit += 1;
+        }
+        for _ in 0..units.branch_units {
+            let branch = window_of(FunctionalClass::Branch);
+            self.issue(unit, branch, true, cycle, |_| units.branch_latency);
+            unit += 1;
+        }
     }
 
-    fn stage_issue(&mut self, cycle: u64) {
-        // FX units.
-        for i in 0..self.fx_units.len() {
-            if !self.fx_units[i].0.is_free(cycle) {
-                continue;
-            }
-            let supports_muldiv = self.fx_units[i].1.supports_mul_div;
-            let pick = self.fx_window.iter().find(|&id| {
-                self.in_flight
-                    .get(id)
-                    .map(|c| c.sources_ready() && (supports_muldiv || !c.latency.is_mul_div()))
-                    .unwrap_or(false)
-            });
-            if let Some(id) = pick {
-                let code = self.in_flight.get_mut(id).unwrap();
-                let latency = Self::latency_for(code.latency, Some(&self.fx_units[i].1), None);
-                code.state = InstructionState::Executing;
-                code.timestamps.issue = Some(cycle);
-                self.fx_window.remove(id);
-                self.fx_units[i].0.start(id, cycle, latency);
-            }
+    /// If functional unit `unit` is free, start the oldest ready instruction
+    /// of `window` it can execute (one that needs a multiply/divide unit only
+    /// when `mul_div`), for the latency its class has on the unit.
+    fn issue(
+        &mut self,
+        unit: usize,
+        window: usize,
+        mul_div: bool,
+        cycle: u64,
+        latency: impl FnOnce(LatencyClass) -> u64,
+    ) {
+        if !self.units[unit].is_free(cycle) {
+            return;
         }
-        // FP units.
-        for i in 0..self.fp_units.len() {
-            if !self.fp_units[i].0.is_free(cycle) {
-                continue;
-            }
-            let pick = self
-                .fp_window
-                .iter()
-                .find(|&id| self.in_flight.get(id).map(|c| c.sources_ready()).unwrap_or(false));
-            if let Some(id) = pick {
-                let code = self.in_flight.get_mut(id).unwrap();
-                let latency = Self::latency_for(code.latency, None, Some(&self.fp_units[i].1));
-                code.state = InstructionState::Executing;
-                code.timestamps.issue = Some(cycle);
-                self.fp_window.remove(id);
-                self.fp_units[i].0.start(id, cycle, latency);
-            }
-        }
-        // Load/store address generation units.
-        for i in 0..self.ls_units.len() {
-            if !self.ls_units[i].is_free(cycle) {
-                continue;
-            }
-            let pick = self
-                .ls_window
-                .iter()
-                .find(|&id| self.in_flight.get(id).map(|c| c.sources_ready()).unwrap_or(false));
-            if let Some(id) = pick {
-                let latency = self.image.config.units.ls_latency;
-                self.ls_window.remove(id);
-                self.ls_units[i].start(id, cycle, latency);
-                let code = self.in_flight.get_mut(id).unwrap();
-                code.state = InstructionState::Executing;
-                code.timestamps.issue = Some(cycle);
-            }
-        }
-        // Branch units.
-        for i in 0..self.branch_units.len() {
-            if !self.branch_units[i].is_free(cycle) {
-                continue;
-            }
-            let pick = self
-                .branch_window
-                .iter()
-                .find(|&id| self.in_flight.get(id).map(|c| c.sources_ready()).unwrap_or(false));
-            if let Some(id) = pick {
-                let latency = self.image.config.units.branch_latency;
-                self.branch_window.remove(id);
-                self.branch_units[i].start(id, cycle, latency);
-                let code = self.in_flight.get_mut(id).unwrap();
-                code.state = InstructionState::Executing;
-                code.timestamps.issue = Some(cycle);
-            }
-        }
+        let Some(id) = self.windows[window].issue(mul_div) else { return };
+        let code = self.code_mut(id);
+        code.state = InstructionState::Executing;
+        code.timestamps.issue = Some(cycle);
+        let latency = latency(code.latency);
+        self.units[unit].start(id, cycle, latency);
     }
 
     // -------------------------------------------------------------- dispatch
 
-    fn stage_dispatch(&mut self, pp: &PredecodedProgram, cycle: u64) {
-        for _ in 0..self.image.config.buffers.fetch_width {
+    fn stage_dispatch(&mut self, pp: &PredecodedProgram, fetch_width: usize, cycle: u64) {
+        for _ in 0..fetch_width {
             let Some(&id) = self.fetch_buffer.front() else { break };
             let Some(code) = self.in_flight.get(id) else {
                 self.fetch_buffer.pop_front();
                 continue;
             };
             let class = code.class;
+            let mul_div = code.latency.is_mul_div();
             let entry = pp.entry(code.pc).expect("fetched pc is predecoded");
 
             // Structural hazards: every resource must be available.
             if !self.rob.has_space() {
                 break;
             }
-            let window = match class {
-                FunctionalClass::Fx => &self.fx_window,
-                FunctionalClass::Fp => &self.fp_window,
-                FunctionalClass::Load | FunctionalClass::Store => &self.ls_window,
-                FunctionalClass::Branch => &self.branch_window,
-            };
-            if !window.has_space() {
+            let window = window_of(class);
+            if !self.windows[window].has_space() {
                 break;
             }
             if class == FunctionalClass::Load && !self.load_buffer.has_space() {
@@ -1353,22 +1248,19 @@ impl Simulator {
             // Commit the dispatch.
             self.fetch_buffer.pop_front();
             let slot = self.rob.push(id);
+            let mut ready = true;
             for (source, src) in sources.iter().enumerate() {
                 if let Some(tag) = src.wait_tag {
                     self.wakeup.push(tag, (slot, source));
+                    ready = false;
                 }
             }
-            let code = self.in_flight.get_mut(id).unwrap();
+            self.windows[window].insert(Ready { id, mul_div }, ready);
+            let code = self.code_mut(id);
             code.sources = sources;
             code.dest = dest;
             code.state = InstructionState::Dispatched;
             code.timestamps.dispatch = Some(cycle);
-            match class {
-                FunctionalClass::Fx => self.fx_window.insert(id),
-                FunctionalClass::Fp => self.fp_window.insert(id),
-                FunctionalClass::Load | FunctionalClass::Store => self.ls_window.insert(id),
-                FunctionalClass::Branch => self.branch_window.insert(id),
-            }
             if let Some(memory) = entry.memory {
                 if memory.is_store {
                     self.store_buffer.push(StoreEntry {
@@ -1473,6 +1365,30 @@ impl Simulator {
             self.log.push(self.cycle, LogEvent::PipelineEmpty);
         }
     }
+}
+
+/// Check that a configured unit can execute every instruction of the
+/// program: issue would leave any other one in its window forever.
+fn check_units(
+    predecoded: &PredecodedProgram,
+    units: &FunctionalUnitsConfig,
+) -> Result<(), String> {
+    let mul_div = units.fx_units.iter().any(|fx| fx.supports_mul_div);
+    for pc in (0..predecoded.len() as u64).map(|index| index * 4) {
+        let entry = predecoded.entry(pc).expect("every instruction is predecoded");
+        let missing = match entry.class {
+            FunctionalClass::Fp if units.fp_units.is_empty() => "an FP unit",
+            FunctionalClass::Fx if entry.latency.is_mul_div() && !mul_div => {
+                "an FX unit that supports multiply/divide"
+            }
+            _ => continue,
+        };
+        return Err(format!(
+            "instruction `{}` at pc {pc:#x} needs {missing}, and the configuration has none",
+            entry.mnemonic
+        ));
+    }
+    Ok(())
 }
 
 /// Convert a raw little-endian loaded value according to the access shape.
@@ -1690,6 +1606,25 @@ mod tests {
         .unwrap();
         let result = sim.run(10_000).unwrap();
         assert_eq!(result.halt, HaltReason::Exception(Exception::DivisionByZero));
+    }
+
+    #[test]
+    fn programs_no_configured_unit_can_execute_are_rejected() {
+        let mut no_mul = ArchitectureConfig::default();
+        for fx in &mut no_mul.units.fx_units {
+            fx.supports_mul_div = false;
+        }
+        let mul = "main:\n    li a0, 6\n    li a1, 7\n    mul a0, a0, a1\n    ret\n";
+        let err = Simulator::from_assembly(mul, &no_mul).unwrap_err();
+        assert!(err.contains("`mul`") && err.contains("multiply/divide"), "{err}");
+        assert!(Simulator::from_assembly("main:\n    add a0, a0, a0\n    ret\n", &no_mul).is_ok());
+
+        let mut no_fp = ArchitectureConfig::default();
+        no_fp.units.fp_units.clear();
+        let fp = "main:\n    fmv.w.x fa0, a0\n    fadd.s fa0, fa0, fa0\n    ret\n";
+        let err = Simulator::from_assembly(fp, &no_fp).unwrap_err();
+        assert!(err.contains("`fmv.w.x`") && err.contains("FP unit"), "{err}");
+        assert!(Simulator::from_assembly(mul, &no_fp).is_ok());
     }
 
     #[test]

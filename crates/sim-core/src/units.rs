@@ -3,7 +3,9 @@
 //!
 //! These are deliberately simple containers of [`InstrId`]s — all per-
 //! instruction state lives in [`crate::SimCode`], exactly like the paper's
-//! blocks that hold "lists of active instructions".
+//! blocks that hold "lists of active instructions".  None of them owns a
+//! name or a configuration: both are fixed at construction and read from
+//! the simulator's shared image, so a clone copies only what changes.
 
 use crate::instruction::InstrId;
 use rvsim_isa::TypedValue;
@@ -48,13 +50,18 @@ impl ReorderBuffer {
         self.entries.len() < self.capacity
     }
 
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// `index` modulo the capacity, for an `index` below twice the capacity
+    /// (a compare instead of a division).
+    fn wrap(&self, index: usize) -> usize {
+        if index >= self.capacity {
+            index - self.capacity
+        } else {
+            index
+        }
     }
 
     fn slot_at(&self, position: usize) -> usize {
-        (self.head_slot + position) % self.capacity
+        self.wrap(self.head_slot + position)
     }
 
     /// Append an instruction (program order) and return its slot.
@@ -72,13 +79,13 @@ impl ReorderBuffer {
     /// Remove and return the oldest instruction.
     pub fn pop_head(&mut self) -> Option<InstrId> {
         let id = self.entries.pop_front()?;
-        self.head_slot = (self.head_slot + 1) % self.capacity;
+        self.head_slot = self.wrap(self.head_slot + 1);
         Some(id)
     }
 
     /// The instruction in an occupied `slot`.
     pub fn id_in(&self, slot: usize) -> InstrId {
-        self.entries[(slot + self.capacity - self.head_slot) % self.capacity]
+        self.entries[self.wrap(slot + self.capacity - self.head_slot)]
     }
 
     /// All entries in program order.
@@ -110,54 +117,88 @@ impl ReorderBuffer {
 // ---------------------------------------------------------------------------
 
 /// An issue window for one functional-unit class.
+///
+/// It counts the instructions that wait in it and keeps the ready ones (all
+/// source values known) in age order, so issue takes the oldest ready
+/// instruction a unit can execute without looking at the others.  Dispatch
+/// adds an instruction as ready or not; the wake-up that delivers its last
+/// source value marks it ready.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct IssueWindow {
-    /// Display name ("FX issue window", …).
-    pub name: String,
-    entries: Vec<InstrId>,
+    /// Instructions waiting in the window, ready or not.
+    len: usize,
+    /// The ready ones, oldest (lowest id) first.
+    ready: Vec<Ready>,
     capacity: usize,
+}
+
+/// A ready instruction in an [`IssueWindow`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Ready {
+    /// The instruction.
+    pub id: InstrId,
+    /// True when it needs a multiply/divide-capable unit.
+    pub mul_div: bool,
 }
 
 impl IssueWindow {
     /// Create a window with `capacity` entries.
-    pub fn new(name: &str, capacity: usize) -> Self {
-        IssueWindow { name: name.to_string(), entries: Vec::with_capacity(capacity), capacity }
+    pub fn new(capacity: usize) -> Self {
+        IssueWindow { len: 0, ready: Vec::with_capacity(capacity), capacity }
     }
 
     /// Occupied entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True when the window holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// True when another instruction fits.
     pub fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len < self.capacity
     }
 
-    /// Insert an instruction.
-    pub fn insert(&mut self, id: InstrId) {
+    /// Insert a just-dispatched instruction, the youngest in the window.
+    pub fn insert(&mut self, entry: Ready, ready: bool) {
         debug_assert!(self.has_space(), "issue window overflow");
-        self.entries.push(id);
+        debug_assert!(self.ready.last().is_none_or(|r| r.id < entry.id), "dispatch is in order");
+        self.len += 1;
+        if ready {
+            self.ready.push(entry);
+        }
     }
 
-    /// Remove a specific instruction (issued or squashed).
-    pub fn remove(&mut self, id: InstrId) {
-        self.entries.retain(|&e| e != id);
+    /// Mark a waiting instruction ready: its last source value arrived.
+    pub fn mark_ready(&mut self, entry: Ready) {
+        let at = self.ready.partition_point(|r| r.id < entry.id);
+        debug_assert!(self.ready.get(at) != Some(&entry), "marked ready twice");
+        self.ready.insert(at, entry);
     }
 
-    /// Remove every instruction younger than `id`.
-    pub fn squash_after(&mut self, id: InstrId) {
-        self.entries.retain(|&e| e <= id);
+    /// Remove and return the oldest ready instruction, skipping those that
+    /// need a multiply/divide unit unless `mul_div` is true.
+    pub fn issue(&mut self, mul_div: bool) -> Option<InstrId> {
+        let at = self.ready.iter().position(|r| mul_div || !r.mul_div)?;
+        self.len -= 1;
+        Some(self.ready.remove(at).id)
     }
 
-    /// Entries in insertion (program) order.
-    pub fn iter(&self) -> impl Iterator<Item = InstrId> + '_ {
-        self.entries.iter().copied()
+    /// Remove `id`, the youngest instruction in the window: a flush squashed
+    /// it.
+    pub fn squash_youngest(&mut self, id: InstrId) {
+        self.len -= 1;
+        if self.ready.last().map(|r| r.id) == Some(id) {
+            self.ready.pop();
+        }
+    }
+
+    /// The ready instructions, oldest first.
+    pub fn ready(&self) -> impl Iterator<Item = Ready> + '_ {
+        self.ready.iter().copied()
     }
 }
 
@@ -168,10 +209,8 @@ impl IssueWindow {
 /// A non-pipelined functional unit: it executes one instruction at a time and
 /// is busy for the instruction's full latency (the paper notes that internal
 /// pipelining is not modelled).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FunctionalUnit {
-    /// Display name ("FX1", "FP1", "LS", "BR", …).
-    pub name: String,
     /// Instruction currently executing.
     pub current: Option<InstrId>,
     /// Cycle at which the current instruction finishes.
@@ -183,17 +222,6 @@ pub struct FunctionalUnit {
 }
 
 impl FunctionalUnit {
-    /// Create an idle unit.
-    pub fn new(name: &str) -> Self {
-        FunctionalUnit {
-            name: name.to_string(),
-            current: None,
-            busy_until: 0,
-            busy_cycles: 0,
-            executed: 0,
-        }
-    }
-
     /// True when the unit can accept a new instruction at `cycle`.
     pub fn is_free(&self, cycle: u64) -> bool {
         self.current.is_none() || self.busy_until <= cycle
@@ -238,7 +266,7 @@ impl FunctionalUnit {
 // ---------------------------------------------------------------------------
 
 /// A load-buffer entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LoadEntry {
     /// Owning instruction.
     pub id: InstrId,
@@ -265,6 +293,24 @@ pub struct StoreEntry {
     pub value: Option<u64>,
 }
 
+/// An entry of a load or store buffer.
+pub trait AccessEntry {
+    /// The instruction that owns the entry.
+    fn id(&self) -> InstrId;
+}
+
+impl AccessEntry for LoadEntry {
+    fn id(&self) -> InstrId {
+        self.id
+    }
+}
+
+impl AccessEntry for StoreEntry {
+    fn id(&self) -> InstrId {
+        self.id
+    }
+}
+
 /// A simple bounded buffer of load or store entries, kept in program order.
 /// Commit takes entries from the front.  It is a `Vec`, not a `VecDeque`:
 /// the memory stage scans both buffers every cycle, and those scans cost
@@ -273,6 +319,35 @@ pub struct StoreEntry {
 pub struct AccessBuffer<T> {
     entries: Vec<T>,
     capacity: usize,
+}
+
+impl<T: AccessEntry> AccessBuffer<T> {
+    /// The entry of instruction `id`, found by binary search: the entries
+    /// are in id order.
+    pub fn get_mut_by_id(&mut self, id: InstrId) -> Option<&mut T> {
+        let index = self.entries.binary_search_by_key(&id, T::id).ok()?;
+        Some(&mut self.entries[index])
+    }
+
+    /// Remove the entries of instructions younger than `id`.
+    pub fn truncate_after(&mut self, id: InstrId) {
+        let keep = self.entries.partition_point(|e| e.id() <= id);
+        self.entries.truncate(keep);
+    }
+}
+
+impl<T> std::ops::Index<usize> for AccessBuffer<T> {
+    type Output = T;
+
+    fn index(&self, index: usize) -> &T {
+        &self.entries[index]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for AccessBuffer<T> {
+    fn index_mut(&mut self, index: usize) -> &mut T {
+        &mut self.entries[index]
+    }
 }
 
 impl<T> AccessBuffer<T> {
@@ -317,14 +392,9 @@ impl<T> AccessBuffer<T> {
         self.entries.iter()
     }
 
-    /// Iterate entries mutably.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.entries.iter_mut()
-    }
-
-    /// Remove entries matching the predicate.
-    pub fn retain(&mut self, f: impl FnMut(&T) -> bool) {
-        self.entries.retain(f);
+    /// Remove and return the entry at `index`.
+    pub fn remove(&mut self, index: usize) -> T {
+        self.entries.remove(index)
     }
 }
 
@@ -369,23 +439,30 @@ mod tests {
     }
 
     #[test]
-    fn issue_window_insert_remove_squash() {
-        let mut w = IssueWindow::new("FX window", 3);
-        w.insert(5);
-        w.insert(7);
-        w.insert(9);
+    fn issue_window_keeps_ready_entries_in_age_order() {
+        let ready = |id| Ready { id, mul_div: false };
+        let mut w = IssueWindow::new(4);
+        w.insert(ready(5), false);
+        w.insert(Ready { id: 7, mul_div: true }, true);
+        w.insert(ready(9), true);
+        w.insert(ready(11), false);
         assert!(!w.has_space());
-        w.remove(7);
-        assert_eq!(w.iter().collect::<Vec<_>>(), vec![5, 9]);
-        w.squash_after(5);
-        assert_eq!(w.iter().collect::<Vec<_>>(), vec![5]);
+        assert_eq!(w.ready().map(|r| r.id).collect::<Vec<_>>(), vec![7, 9]);
+        w.mark_ready(ready(5));
+        assert_eq!(w.ready().map(|r| r.id).collect::<Vec<_>>(), vec![5, 7, 9], "oldest first");
+        assert_eq!(w.issue(true), Some(5));
+        assert_eq!(w.issue(false), Some(9), "a unit without mul/div skips 7");
+        assert_eq!(w.len(), 2);
+        w.squash_youngest(11);
         assert_eq!(w.len(), 1);
-        assert!(!w.is_empty());
+        w.squash_youngest(7);
+        assert!(w.is_empty());
+        assert_eq!(w.issue(true), None);
     }
 
     #[test]
     fn functional_unit_busy_tracking() {
-        let mut fu = FunctionalUnit::new("FX1");
+        let mut fu = FunctionalUnit::default();
         assert!(fu.is_free(0));
         fu.start(3, 10, 4);
         assert!(!fu.is_free(12));
@@ -400,14 +477,14 @@ mod tests {
 
     #[test]
     fn functional_unit_zero_latency_clamped() {
-        let mut fu = FunctionalUnit::new("FX1");
+        let mut fu = FunctionalUnit::default();
         fu.start(1, 5, 0);
         assert_eq!(fu.busy_until, 6, "latency is at least one cycle");
     }
 
     #[test]
     fn functional_unit_squash() {
-        let mut fu = FunctionalUnit::new("BR");
+        let mut fu = FunctionalUnit::default();
         fu.start(10, 0, 2);
         assert_eq!(fu.squash_after(12), None, "older instruction survives");
         assert_eq!(fu.squash_after(5), Some(10), "younger instruction squashed");
@@ -416,18 +493,20 @@ mod tests {
 
     #[test]
     fn access_buffer_capacity_and_retain() {
-        let mut lb: LoadBuffer = AccessBuffer::new(2);
-        lb.push(LoadEntry { id: 1, address: None, size: 4, completion: None, forwarded: None });
-        lb.push(LoadEntry { id: 2, address: Some(8), size: 4, completion: None, forwarded: None });
+        let mut lb: LoadBuffer = AccessBuffer::new(3);
+        for id in [1, 2, 4] {
+            lb.push(LoadEntry { id, address: None, size: 4, completion: None, forwarded: None });
+        }
         assert!(!lb.has_space());
-        lb.retain(|e| e.id != 1);
-        assert_eq!(lb.len(), 1);
+        lb.remove(0);
+        assert_eq!(lb.len(), 2);
         assert!(lb.has_space());
         assert_eq!(lb.front().unwrap().id, 2);
-        for e in lb.iter_mut() {
-            e.completion = Some(9);
-        }
-        assert_eq!(lb.iter().next().unwrap().completion, Some(9));
+        lb.get_mut_by_id(4).unwrap().completion = Some(9);
+        assert!(lb.get_mut_by_id(3).is_none());
+        assert_eq!(lb[1].completion, Some(9));
+        lb.truncate_after(3);
+        assert_eq!(lb.iter().map(|e| e.id).collect::<Vec<_>>(), vec![2]);
         assert_eq!(lb.pop_front().map(|e| e.id), Some(2));
         assert!(lb.is_empty());
     }

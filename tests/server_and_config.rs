@@ -92,6 +92,42 @@ fn full_client_workflow_compile_create_run_stats() {
 }
 
 #[test]
+fn create_session_rejects_a_program_no_configured_unit_can_execute() {
+    let server = SimulationServer::new(DeploymentConfig::default());
+    let create = |program: &str, architecture: ArchitectureConfig| {
+        let request = Request::CreateSession {
+            program: program.into(),
+            architecture: Some(architecture),
+            entry: None,
+            session: None,
+        };
+        call(&server, &request).unwrap()
+    };
+
+    let mut no_mul = ArchitectureConfig::default();
+    for fx in &mut no_mul.units.fx_units {
+        fx.supports_mul_div = false;
+    }
+    let mul = "main:\n    li a0, 6\n    li a1, 7\n    mul a0, a0, a1\n    ret\n";
+    match create(mul, no_mul.clone()) {
+        Response::Error { message } => {
+            assert!(message.contains("`mul`") && message.contains("multiply/divide"), "{message}")
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    assert!(matches!(create(PROGRAM, no_mul), Response::SessionCreated { .. }));
+
+    let mut no_fp = ArchitectureConfig::default();
+    no_fp.units.fp_units.clear();
+    match create("main:\n    fmv.w.x fa0, a0\n    fadd.s fa0, fa0, fa0\n    ret\n", no_fp) {
+        Response::Error { message } => {
+            assert!(message.contains("`fmv.w.x`") && message.contains("FP unit"), "{message}")
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+#[test]
 fn architecture_json_export_import_drives_the_simulation() {
     // Export a customized architecture to JSON (the settings window's
     // export), re-import it, and verify the simulation actually uses it.
