@@ -260,7 +260,8 @@ impl Iss {
 
         // The same operand slots the pipeline fills: the register sources,
         // then the predecoded immediates and pc.
-        let operands = entry.operands_with(entry.srcs.iter().map(|s| self.register(s.reg).typed()));
+        let sources = entry.srcs.iter().map(|s| self.register(s.reg).typed());
+        let operands = entry.operands(self.pc, sources);
 
         let pc = self.pc;
         let mut dest_effect: Option<(RegisterId, u64)> = None;

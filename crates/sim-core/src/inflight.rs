@@ -118,7 +118,7 @@ mod tests {
             memory: None,
             srcs: InlineVec::new(),
             dst: None,
-            operands: Default::default(),
+            imms: InlineVec::new(),
             store_data: None,
         };
         SimCode::fetched(id, id * 4, &entry, 7)

@@ -230,7 +230,7 @@ mod tests {
             memory: None,
             srcs: InlineVec::new(),
             dst: None,
-            operands: Default::default(),
+            imms: InlineVec::new(),
             store_data: None,
         };
         SimCode::fetched(1, 0x10, &entry, 7)

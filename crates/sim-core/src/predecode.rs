@@ -9,11 +9,10 @@
 //! immediates, latency class, static branch target) indexed by `pc / 4`, and
 //! every descriptor's postfix semantics are compiled to flat op sequences
 //! ([`CompiledExpr`]) against its operand layout ([`operand_slots`]): each
-//! argument name becomes a slot index once, here.  Each instruction carries
-//! its operand array with the immediates and pc already in their slots, so
-//! fetch becomes an array index and execution copies that array, writes
-//! the source values into it and runs the compiled expression — no name
-//! lookup and no per-instruction heap traffic anywhere in the simulate
+//! argument name becomes a slot index once, here.  Fetch becomes an array
+//! index, and execution fills a fixed operand array with the source values,
+//! immediates and pc in those slots and runs the compiled expression — no
+//! name lookup and no per-instruction heap traffic anywhere in the simulate
 //! loop.
 
 use crate::instruction::MAX_SOURCES;
@@ -142,10 +141,9 @@ pub struct PredecodedInstr {
     pub srcs: InlineVec<SrcSpec, 3>,
     /// Register destination, if the instruction writes one back.
     pub dst: Option<DstSpec>,
-    /// The operands of its semantics (see [`operand_slots`]) with the
-    /// immediates (as 32-bit ints; branch offsets are PC-relative bytes) and
-    /// the pc in their slots, and zero in the source slots.
-    pub operands: Operands,
+    /// Immediate operands in descriptor order, as the 32-bit ints the
+    /// semantics read (branch offsets are PC-relative bytes).
+    pub imms: InlineVec<i32, MAX_IMMEDIATES>,
     /// Index into `srcs` of the store-data operand (stores only).
     pub store_data: Option<u8>,
 }
@@ -156,14 +154,20 @@ impl PredecodedInstr {
         self.class == FunctionalClass::Branch
     }
 
-    /// The operands of one evaluation: the values of the register sources,
-    /// in `srcs` order, in the source slots.
+    /// The operands of one evaluation of this instruction at `pc`, in the
+    /// slots of [`operand_slots`]: the values of the register sources in
+    /// `srcs` order, then the immediates, then the pc.
     #[inline]
-    pub fn operands_with(&self, sources: impl IntoIterator<Item = TypedValue>) -> Operands {
-        let mut operands = self.operands;
+    pub fn operands(&self, pc: u64, sources: impl IntoIterator<Item = TypedValue>) -> Operands {
+        let mut operands = [TypedValue::default(); MAX_OPERANDS];
         for (slot, value) in operands.iter_mut().zip(sources) {
             *slot = value;
         }
+        let rest = &mut operands[self.srcs.len()..];
+        for (slot, &imm) in rest.iter_mut().zip(self.imms.iter()) {
+            *slot = TypedValue::int(imm);
+        }
+        rest[self.imms.len()] = TypedValue::int(pc as i32);
         operands
     }
 }
@@ -195,7 +199,7 @@ pub fn operand_slots(d: &InstructionDescriptor) -> Result<InlineVec<Sym, MAX_OPE
 }
 
 /// Most immediates an instruction has.
-const MAX_IMMEDIATES: usize = MAX_OPERANDS - MAX_SOURCES - 1;
+pub const MAX_IMMEDIATES: usize = MAX_OPERANDS - MAX_SOURCES - 1;
 
 /// Compiled semantics of one instruction descriptor.
 #[derive(Debug, Clone, Default)]
@@ -291,7 +295,7 @@ impl PredecodedProgram {
             // The operand layout (checked above) puts the sources first, the
             // immediates after them and the pc last.
             let mut srcs = InlineVec::new();
-            let mut imms: InlineVec<TypedValue, MAX_IMMEDIATES> = InlineVec::new();
+            let mut imms = InlineVec::new();
             let mut dst = None;
             for (i, arg) in d.arguments.iter().enumerate() {
                 let sym = Sym::new(&arg.name);
@@ -310,14 +314,9 @@ impl PredecodedProgram {
                         srcs.push(SrcSpec { arg: sym, reg });
                     }
                     ArgKind::Imm | ArgKind::Label => {
-                        imms.push(TypedValue::int(ins.imm(i).unwrap_or(0) as i32));
+                        imms.push(ins.imm(i).unwrap_or(0) as i32);
                     }
                 }
-            }
-            let mut operands = [TypedValue::default(); MAX_OPERANDS];
-            let pc = TypedValue::int(ins.address as i32);
-            for (slot, value) in operands[srcs.len()..].iter_mut().zip(imms.iter().chain([&pc])) {
-                *slot = *value;
             }
 
             let store_data = if d.is_store() {
@@ -345,7 +344,7 @@ impl PredecodedProgram {
                 memory: d.memory,
                 srcs,
                 dst,
-                operands,
+                imms,
                 store_data,
             });
         }
@@ -426,7 +425,7 @@ mod tests {
         assert_eq!(addi.srcs[0].reg, RegisterId::x(0));
         assert_eq!(addi.dst.unwrap().reg, RegisterId::x(10));
         // Slots: rs1, then imm, then pc.
-        let operands = addi.operands_with([TypedValue::int(9)]);
+        let operands = addi.operands(0, [TypedValue::int(9)]);
         assert_eq!(operands[..3], [TypedValue::int(9), TypedValue::int(5), TypedValue::int(0)]);
 
         let mul = pp.entry(4).unwrap();
@@ -448,7 +447,7 @@ mod tests {
         assert!(!beq.is_uncond_jump);
         assert!(beq.is_control_flow());
 
-        let beq_operands = beq.operands_with([TypedValue::int(1), TypedValue::int(2)]);
+        let beq_operands = beq.operands(16, [TypedValue::int(1), TypedValue::int(2)]);
         assert_eq!(beq_operands[2..4], [TypedValue::int(-16), TypedValue::int(16)], "offset, pc");
 
         let jal = pp.entry(20).unwrap();

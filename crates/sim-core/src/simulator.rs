@@ -785,8 +785,8 @@ impl Simulator {
             debug_assert!(code.sources_ready(), "instruction {id} issued before its sources");
             let entry = pp.entry(code.pc).expect("executed pc is predecoded");
             let sem = pp.semantics(code.desc);
-            let operands =
-                entry.operands_with(code.sources.iter().map(|s| s.value.unwrap_or_default()));
+            let sources = code.sources.iter().map(|s| s.value.unwrap_or_default());
+            let operands = entry.operands(code.pc, sources);
             match code.class {
                 FunctionalClass::Fx | FunctionalClass::Fp => {
                     self.finish_alu(id, &operands, sem, cycle);

@@ -130,7 +130,7 @@ proptest! {
 
             // The slot path: operands as the pipeline and the ISS build them.
             let operands =
-                entry.operands_with(entry.srcs.iter().map(|s| register_value(s.reg, &values)));
+                entry.operands(pc, entry.srcs.iter().map(|s| register_value(s.reg, &values)));
             // The oracle: every argument but the destination bound by name,
             // in argument order, then the pc.
             let mut evaluator = Evaluator::new();
