@@ -35,10 +35,6 @@ pub enum InstructionState {
     WaitingMemory,
     /// Finished executing, waiting to commit.
     Done,
-    /// Committed (retired).
-    Committed,
-    /// Squashed by a pipeline flush.
-    Squashed,
 }
 
 /// Timestamps of the pipeline phases an instruction went through.
@@ -275,7 +271,7 @@ mod tests {
         let mut c = code();
         c.state = InstructionState::Done;
         assert!(c.is_done());
-        c.state = InstructionState::Committed;
+        c.state = InstructionState::WaitingMemory;
         assert!(!c.is_done());
     }
 

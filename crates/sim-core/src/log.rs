@@ -2,13 +2,24 @@
 //!
 //! The simulate loop records structured events (a cycle, a kind and its
 //! operands) and the message text is rendered only when the log is read.
-//! Logging a mispredict therefore allocates nothing, and copying the log for
-//! a checkpoint copies plain records, not strings.
+//!
+//! The records live in chunks of 64.  The newest ones sit in an owned tail;
+//! when it fills, it is frozen into an immutable chunk that clones share
+//! (`Arc<[LogEntry]>`), and its buffer is reused for the next 64.  Logging
+//! therefore allocates once per 64 records, and a clone (every step-back
+//! checkpoint is one) copies the chunk handles and the at most 63 tail
+//! records: at most 157 handles for a full log of 10,000 records.  Once the
+//! log is full, it drops its oldest record by moving an offset into its
+//! first chunk and releases that chunk when the offset reaches its end.
 
 use rvsim_isa::{Exception, Sym};
 use rvsim_mem::MemError;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
+
+/// Records per frozen chunk.
+const CHUNK: usize = 64;
 
 /// What happened, with the operands its message is rendered from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +85,13 @@ pub struct LogEntry {
 /// full, a new record replaces the oldest in O(1).
 #[derive(Debug, Clone)]
 pub struct DebugLog {
-    entries: VecDeque<LogEntry>,
+    /// Frozen chunks of exactly `CHUNK` records, oldest first, shared with
+    /// every clone.
+    chunks: VecDeque<Arc<[LogEntry]>>,
+    /// Records already dropped from the front of the first chunk.
+    dropped: usize,
+    /// The newest records, fewer than `CHUNK`.
+    tail: Vec<LogEntry>,
     capacity: usize,
 }
 
@@ -84,7 +101,12 @@ impl DebugLog {
 
     /// Create a log retaining at most `capacity` messages (oldest dropped).
     pub fn with_capacity(capacity: usize) -> Self {
-        DebugLog { entries: VecDeque::new(), capacity: capacity.max(1) }
+        DebugLog {
+            chunks: VecDeque::new(),
+            dropped: 0,
+            tail: Vec::new(),
+            capacity: capacity.max(1),
+        }
     }
 
     /// Create a log with the default capacity.
@@ -94,35 +116,60 @@ impl DebugLog {
 
     /// Record `event` for `cycle`.
     pub fn push(&mut self, cycle: u64, event: LogEvent) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
+        if self.len() == self.capacity {
+            self.drop_oldest();
         }
-        self.entries.push_back(LogEntry { cycle, event });
+        if self.tail.len() == self.tail.capacity() {
+            // A new tail, or a clone's, which holds only its records: make
+            // room for a whole chunk once.
+            self.tail.reserve_exact(CHUNK - self.tail.len());
+        }
+        self.tail.push(LogEntry { cycle, event });
+        if self.tail.len() == CHUNK {
+            self.chunks.push_back(self.tail.drain(..).collect());
+        }
+    }
+
+    fn drop_oldest(&mut self) {
+        if self.chunks.is_empty() {
+            // A log smaller than a chunk keeps all its records in the tail.
+            self.tail.remove(0);
+            return;
+        }
+        self.dropped += 1;
+        if self.dropped == CHUNK {
+            self.chunks.pop_front();
+            self.dropped = 0;
+        }
     }
 
     /// All retained messages, oldest first.
     pub fn entries(&self) -> impl Iterator<Item = &LogEntry> {
-        self.entries.iter()
+        let mut chunks = self.chunks.iter();
+        let first = chunks.next().map_or(&[][..], |chunk| &chunk[self.dropped..]);
+        first.iter().chain(chunks.flat_map(|chunk| chunk.iter())).chain(&self.tail)
     }
 
     /// Messages generated during `cycle`.
     pub fn at_cycle(&self, cycle: u64) -> impl Iterator<Item = &LogEntry> {
-        self.entries.iter().filter(move |e| e.cycle == cycle)
+        self.entries().filter(move |e| e.cycle == cycle)
     }
 
     /// Number of retained messages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.chunks.len() * CHUNK - self.dropped + self.tail.len()
     }
 
     /// True when no messages are retained.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Drop all messages.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.chunks.clear();
+        self.dropped = 0;
+        self.tail.clear();
     }
 }
 
@@ -201,5 +248,62 @@ mod tests {
         assert_eq!(log.len(), DebugLog::DEFAULT_CAPACITY);
         assert!(log.entries().map(|e| e.cycle).eq(2 * capacity..3 * capacity));
         assert_eq!(log.entries().last().unwrap().event, mispredict((3 * capacity - 1) * 4));
+    }
+
+    fn cycles(log: &DebugLog) -> Vec<u64> {
+        log.entries().map(|e| e.cycle).collect()
+    }
+
+    #[test]
+    fn a_clone_shares_the_frozen_chunks() {
+        let mut log = DebugLog::new();
+        for cycle in 0..2 * CHUNK as u64 + 5 {
+            log.push(cycle, mispredict(cycle));
+        }
+        let copy = log.clone();
+        assert_eq!(copy.chunks.len(), 2);
+        assert!(copy.chunks.iter().zip(&log.chunks).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(copy.tail, log.tail, "the tail is copied");
+        assert_eq!(cycles(&copy), cycles(&log));
+    }
+
+    #[test]
+    fn a_push_to_one_copy_does_not_appear_in_the_other() {
+        let mut log = DebugLog::new();
+        for cycle in 0..CHUNK as u64 - 3 {
+            log.push(cycle, mispredict(cycle));
+        }
+        let mut copy = log.clone();
+        copy.push(1_000, LogEvent::PipelineEmpty);
+        // Fill and freeze the original's tail: the copy's tail is its own.
+        for cycle in 2_000..2_010 {
+            log.push(cycle, mispredict(cycle));
+        }
+        assert_eq!(copy.len(), CHUNK - 2);
+        assert_eq!(copy.entries().last().unwrap().event, LogEvent::PipelineEmpty);
+        assert_eq!(copy.chunks.len(), 0);
+        assert_eq!(log.len(), CHUNK + 7);
+        assert_eq!(log.chunks.len(), 1);
+        assert!(log.entries().all(|e| e.cycle != 1_000));
+        assert!(copy.entries().all(|e| e.cycle < 2_000));
+    }
+
+    #[test]
+    fn dropping_the_oldest_at_capacity_keeps_the_order_across_chunks() {
+        // A capacity that is not a multiple of the chunk size, so the
+        // window's ends cross chunk boundaries at different pushes.
+        let capacity = 2 * CHUNK + 9;
+        let mut log = DebugLog::with_capacity(capacity);
+        for cycle in 0..6 * CHUNK as u64 {
+            log.push(cycle, mispredict(cycle));
+            let first = (cycle + 1).saturating_sub(capacity as u64);
+            assert_eq!(cycles(&log), (first..=cycle).collect::<Vec<_>>(), "after {cycle}");
+            assert!(log.chunks.len() <= capacity / CHUNK + 1, "dropped chunks are released");
+        }
+        let copy = log.clone();
+        log.push(10_000, LogEvent::PipelineEmpty);
+        assert_eq!(copy.len(), capacity);
+        assert_eq!(cycles(&copy)[0], 6 * CHUNK as u64 - capacity as u64);
+        assert_eq!(cycles(&log)[0], 6 * CHUNK as u64 - capacity as u64 + 1);
     }
 }

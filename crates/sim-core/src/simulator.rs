@@ -25,17 +25,21 @@
 //! can execute without scanning the window.  Commit pops the fronts of the
 //! reorder buffer and the load and store buffers.
 //!
-//! A cycle does not allocate once the pipeline has warmed up: the ids of
-//! the finishing units live in a buffer the simulator keeps between cycles,
-//! the ready lists are preallocated, and the wake-up lists are flat arrays
-//! sized at construction.
+//! Once the pipeline has warmed up, a cycle allocates only when the debug
+//! log freezes a chunk, once per 64 log records: the ids of the finishing
+//! units live in a buffer the simulator keeps between cycles, the ready
+//! lists are preallocated, and the wake-up lists are flat arrays sized at
+//! construction.
 //!
 //! Everything fixed at construction (configuration, unit names, program,
-//! predecoded table, static mix) sits behind one shared [`Arc`], and main
-//! memory is copy-on-write pages, so a clone of a simulator copies only its
-//! mutable pipeline state.  Backward stepping builds on that: [`Simulator::step_back_by`]
-//! keeps clones ("checkpoints") of states its own replay passes, restores the
-//! nearest one at or below its target and replays only the gap.
+//! predecoded table, static mix) sits behind one shared [`Arc`], main
+//! memory is copy-on-write pages, and the debug log's older records are
+//! chunks that clones share, so a clone of a simulator copies only its
+//! mutable pipeline state.  Backward stepping builds on that:
+//! [`Simulator::step_back_by`] keeps clones ("checkpoints") of states its
+//! own replay passes, every [`CHECKPOINT_INTERVAL`] cycles near its target,
+//! restores the nearest one at or below its target and replays only the
+//! gap.
 
 use crate::config::{ArchitectureConfig, FunctionalUnitsConfig};
 use crate::inflight::InFlightRing;
@@ -100,16 +104,18 @@ struct Image {
     program_end: u64,
 }
 
-/// Cycles between the checkpoints a step back keeps (see
-/// [`Simulator::step_back_by`]).  A step back replays fewer than this many
-/// cycles once a checkpoint below its target exists.
-pub const CHECKPOINT_INTERVAL: u64 = 256;
+/// Cycles between the checkpoints a step back keeps nearest its target (see
+/// [`Simulator::step_back_by`]).  Once a step back to `t` has run, a later
+/// one to any target in `t`'s block of this many cycles replays fewer than
+/// this many: a debugging session's repeated `StepBack{1}`/`Step{1}`
+/// replays at most 15 cycles.
+pub const CHECKPOINT_INTERVAL: u64 = 16;
 
 /// True when a step back to `target` keeps the checkpoint at `cycle`: for
 /// each level `j`, the one at the largest multiple of
 /// `CHECKPOINT_INTERVAL * 2^j` at or below `target`.  Checkpoints are dense
-/// near the target and thin out geometrically behind it, about
-/// `log2(target / CHECKPOINT_INTERVAL)` in all.
+/// near the target and thin out geometrically behind it, at most
+/// `⌊log2(target / CHECKPOINT_INTERVAL)⌋ + 1` in all, plus the cycle-0 state.
 fn keeps_checkpoint(cycle: u64, target: u64) -> bool {
     if cycle == 0 || cycle > target || !cycle.is_multiple_of(CHECKPOINT_INTERVAL) {
         return false;
@@ -535,10 +541,16 @@ impl Simulator {
     /// cycle `t`, and clones the states it passes that the retention rule
     /// keeps: for each level `j >= 0`, the one at the largest multiple of
     /// [`CHECKPOINT_INTERVAL`]` * 2^j` at or below `t`.  Every other
-    /// checkpoint is dropped.  A session's first step back therefore replays
-    /// from cycle 0; later ones near the same cycles replay fewer than
-    /// [`CHECKPOINT_INTERVAL`] cycles.  Forward `step` and `run` never take
-    /// checkpoints.
+    /// checkpoint is dropped, so at most `⌊log2(t / 16)⌋ + 2` are kept,
+    /// counting the cycle-0 state, and the nearest lies fewer than 16 cycles
+    /// below `t`.  A checkpoint is a clone: it shares the program image,
+    /// the unwritten memory pages and the debug log's frozen chunks.
+    ///
+    /// A session's first step back therefore replays from cycle 0.  A later
+    /// one to a target in the same block of 16 cycles as `t` replays fewer
+    /// than 16 cycles.  Walking back one cycle at a time replays further
+    /// when a step crosses a level's boundary, from a sparser level.
+    /// Forward `step` and `run` never take checkpoints.
     pub fn step_back_by(&mut self, cycles: u64) {
         if cycles == 0 {
             return;
@@ -1018,12 +1030,14 @@ impl Simulator {
     // ---------------------------------------------------------------- memory
 
     fn stage_memory(&mut self, pp: &PredecodedProgram, memory_units: usize, cycle: u64) {
-        // 1. Complete loads whose data is available.  The buffer entry is
-        // kept until commit for occupancy accounting.
+        // 1. Deliver the loads whose data has arrived.  Taking the data
+        // marks a load delivered; its buffer entry is kept until commit for
+        // occupancy accounting.
         for i in 0..self.load_buffer.len() {
             let load = self.load_buffer[i];
             match (load.completion, load.forwarded) {
                 (Some(completion), Some(raw)) if completion <= cycle => {
+                    self.load_buffer[i].forwarded = None;
                     self.complete_load(pp, load.id, raw, cycle);
                 }
                 _ => {}
@@ -1093,16 +1107,12 @@ impl Simulator {
         }
     }
 
-    /// Deliver a load's raw data: convert it, write the destination and mark
-    /// the load done.  The memory stage calls this in every cycle from the
-    /// data's arrival until the load commits; once the data is delivered,
-    /// a later call only moves the memory timestamp to the current cycle.
+    /// Deliver a load's raw data in the cycle it arrives: stamp that cycle,
+    /// convert the data, write the destination and mark the load done.
     fn complete_load(&mut self, pp: &PredecodedProgram, id: InstrId, raw: TypedValue, cycle: u64) {
         let Some(code) = self.in_flight.get_mut(id) else { return };
+        debug_assert_eq!(code.state, InstructionState::WaitingMemory, "load {id} delivered twice");
         code.timestamps.memory = Some(cycle);
-        if code.state == InstructionState::Done {
-            return;
-        }
         let entry = pp.entry(code.pc).expect("load pc is predecoded");
         let memory = entry.memory.expect("load has memory descriptor");
         let value = convert_loaded(raw.bits(), memory.size, memory.sign_extend, memory.data_type);
@@ -1820,14 +1830,20 @@ mod tests {
         sim.checkpoints.iter().map(|c| c.cycle).collect()
     }
 
+    // The expected lists below are worked out by hand from the retention
+    // rule: for each level j, the largest multiple of 16 * 2^j at or below
+    // the target.  For 16,000 the levels 16, 32, 64 and 128 all keep 16,000
+    // itself; 256 and 512 keep 15,872; 1,024 keeps 15,360; 2,048 keeps
+    // 14,336; 4,096 keeps 12,288; 8,192 keeps 8,192; 16,384 keeps none.
     #[test]
     fn retention_keeps_one_checkpoint_per_level() {
         assert!(keeps_checkpoint(15_872, 16_000) && keeps_checkpoint(8_192, 16_000));
-        assert!(!keeps_checkpoint(15_616, 16_000), "a second checkpoint at the finest level");
-        assert!(!keeps_checkpoint(0, 16_000) && !keeps_checkpoint(16_128, 16_000));
+        assert!(!keeps_checkpoint(15_984, 16_000), "a second checkpoint at the finest level");
+        assert!(!keeps_checkpoint(15_616, 16_000), "a second checkpoint at the 256 level");
+        assert!(!keeps_checkpoint(0, 16_000) && !keeps_checkpoint(16_016, 16_000));
         let kept: Vec<u64> =
-            (1..=64).map(|k| k * 256).filter(|&c| keeps_checkpoint(c, 16_000)).collect();
-        assert_eq!(kept, [8_192, 12_288, 14_336, 15_360, 15_872]);
+            (1..=1_024).map(|k| k * 16).filter(|&c| keeps_checkpoint(c, 16_000)).collect();
+        assert_eq!(kept, [8_192, 12_288, 14_336, 15_360, 15_872, 16_000]);
 
         let mut sim = Simulator::from_assembly(LONG_LOOP, &ArchitectureConfig::default()).unwrap();
         assert_eq!(checkpoint_cycles(&sim), [0], "stepping takes none");
@@ -1835,13 +1851,19 @@ mod tests {
         assert_eq!(checkpoint_cycles(&sim).len(), 1, "running takes none");
         sim.step_back();
         assert_eq!(sim.cycle(), 16_000);
-        assert_eq!(checkpoint_cycles(&sim), [0, 8_192, 12_288, 14_336, 15_360, 15_872]);
-        // Stepping back again near the same cycle reuses them.
+        assert_eq!(checkpoint_cycles(&sim), [0, 8_192, 12_288, 14_336, 15_360, 15_872, 16_000]);
+        // Stepping back again near the same cycles reuses them.
         sim.step();
         sim.step_back();
-        assert_eq!(checkpoint_cycles(&sim), [0, 8_192, 12_288, 14_336, 15_360, 15_872]);
+        assert_eq!(checkpoint_cycles(&sim), [0, 8_192, 12_288, 14_336, 15_360, 15_872, 16_000]);
+        // For 12,000: 16 and 32 keep 12,000; 64 keeps 11,968; 128 keeps
+        // 11,904; 256 and 512 keep 11,776; 1,024 keeps 11,264; 2,048 keeps
+        // 10,240; 4,096 and 8,192 keep 8,192.
         sim.step_back_by(4_000);
-        assert_eq!(checkpoint_cycles(&sim), [0, 8_192, 10_240, 11_264, 11_776]);
+        assert_eq!(
+            checkpoint_cycles(&sim),
+            [0, 8_192, 10_240, 11_264, 11_776, 11_904, 11_968, 12_000]
+        );
     }
 
     #[test]
@@ -1851,16 +1873,92 @@ mod tests {
             sim.step();
         }
         sim.step_back();
-        assert_eq!(checkpoint_cycles(&sim), [0, 512, 768]);
+        // For 999: 16 and 32 keep 992; 64 keeps 960; 128 keeps 896; 256
+        // keeps 768; 512 keeps 512; 1,024 keeps none.
+        assert_eq!(checkpoint_cycles(&sim), [0, 512, 768, 896, 960, 992]);
         sim.reset();
         assert_eq!(sim.cycle(), 0);
-        assert_eq!(checkpoint_cycles(&sim).len(), 3, "reset restores cycle 0 and keeps the rest");
+        assert_eq!(checkpoint_cycles(&sim).len(), 6, "reset restores cycle 0 and keeps the rest");
         sim.set_retirement_trace(true);
         assert_eq!(checkpoint_cycles(&sim), [0]);
         sim.run(900).unwrap();
         sim.step_back_by(100);
         assert_eq!(sim.retirement_trace().len() as u64, sim.statistics().committed);
         assert_eq!(sim.retirement_trace()[0].seq, 0, "the trace restarts at cycle 0");
+    }
+
+    #[test]
+    fn a_step_back_keeps_few_checkpoints_and_one_close_below_its_target() {
+        let mut sim = Simulator::from_assembly(LONG_LOOP, &ArchitectureConfig::scalar()).unwrap();
+        // A fixed xorshift sequence of forward runs and step backs.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        // Targets drift up to about 25,000 cycles.
+        for _ in 0..60 {
+            sim.run(sim.cycle() + next(1_500)).unwrap();
+            let target = sim.cycle().saturating_sub(1 + next(700));
+            sim.step_back_by(sim.cycle() - target);
+            assert_eq!(sim.cycle(), target);
+            let kept = checkpoint_cycles(&sim);
+            assert_eq!(kept[0], 0);
+            assert!(kept.windows(2).all(|w| w[0] < w[1]), "kept in order: {kept:?}");
+            assert!(kept[1..].iter().all(|&c| keeps_checkpoint(c, target)), "{kept:?}");
+            let nearest = *kept.last().unwrap();
+            assert!(target - nearest < CHECKPOINT_INTERVAL, "nearest {nearest} for {target}");
+            let bound = match target / CHECKPOINT_INTERVAL {
+                0 => 1,
+                blocks => blocks.ilog2() as usize + 2,
+            };
+            assert!(kept.len() <= bound, "{} kept for {target}: {kept:?}", kept.len());
+        }
+    }
+
+    #[test]
+    fn a_load_waiting_to_commit_keeps_its_arrival_cycle() {
+        // The load's data arrives long before the older divides commit.
+        let mut sim = Simulator::from_assembly(
+            "buf:
+                .word 42
+            main:
+                la   t0, buf
+                li   a0, 1000
+                li   a1, 3
+                div  a2, a0, a1
+                div  a2, a2, a1
+                div  a2, a2, a1
+                lw   a3, 0(t0)
+                add  a0, a2, a3
+                ret",
+            &ArchitectureConfig::default(),
+        )
+        .unwrap();
+        let mut arrival = None;
+        let mut waited = 0;
+        while !sim.is_halted() {
+            sim.step();
+            let Some(load) = sim.in_flight().find(|c| c.mnemonic.as_str() == "lw") else {
+                continue;
+            };
+            match (arrival, load.timestamps.memory) {
+                (None, Some(cycle)) => {
+                    assert_eq!(cycle, sim.cycle() - 1, "stamped in the cycle it arrived");
+                    assert!(load.is_done());
+                    arrival = Some(cycle);
+                }
+                (Some(cycle), stamp) => {
+                    assert_eq!(stamp, Some(cycle), "restamped at cycle {}", sim.cycle() - 1);
+                    waited += 1;
+                }
+                (None, None) => {}
+            }
+        }
+        assert!(arrival.is_some() && waited >= 3, "the load waited {waited} cycles to commit");
+        assert_eq!(sim.int_register(10), 37 + 42);
     }
 
     #[test]

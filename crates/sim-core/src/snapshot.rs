@@ -325,8 +325,6 @@ impl<'a> SnapshotWriter<'a> {
             InstructionState::Executing => "Executing",
             InstructionState::WaitingMemory => "WaitingMemory",
             InstructionState::Done => "Done",
-            InstructionState::Committed => "Committed",
-            InstructionState::Squashed => "Squashed",
         }
     }
 

@@ -276,7 +276,8 @@ pub struct LoadEntry {
     pub size: usize,
     /// Cycle the memory transaction completes, once issued.
     pub completion: Option<u64>,
-    /// Value forwarded from an older store, if any.
+    /// The loaded or store-forwarded data, from its transaction's start
+    /// until the memory stage delivers it to the load.
     pub forwarded: Option<TypedValue>,
 }
 

@@ -7,6 +7,12 @@
 //! of steps, runs, step backs, resets and trace toggles, both must agree on
 //! the snapshot, the statistics, the retirement trace, the debug log and
 //! main memory, on the scalar, 2-wide and wide-4 presets.
+//!
+//! Two more operations are the GUI's patterns, checked after every single
+//! step back: walking back one cycle at a time, whose targets cross the
+//! boundaries of the checkpoint levels, and repeating `StepBack{1}` and
+//! `Step{1}` at one cycle.  Their oracle steps one fresh simulator forward
+//! from cycle 0 and keeps clones of the states the pattern visits.
 
 mod common;
 
@@ -29,6 +35,10 @@ enum Op {
     StepBack(u64),
     Reset,
     ToggleTrace,
+    /// `step_back` this many times.
+    WalkBack(u64),
+    /// `step_back` then `step`, this many times.
+    StepBackAndForth(u64),
 }
 
 /// Step backs dominate, so most of them land near an earlier target and
@@ -39,7 +49,9 @@ fn op((kind, arg): (u8, u64)) -> Op {
         2..=5 => Op::Run(arg),
         6..=13 => Op::StepBack(1 + arg % 700),
         14 => Op::Reset,
-        _ => Op::ToggleTrace,
+        15 => Op::ToggleTrace,
+        16..=17 => Op::WalkBack(1 + arg % 40),
+        _ => Op::StepBackAndForth(1 + arg % 6),
     }
 }
 
@@ -47,6 +59,26 @@ fn fresh(source: &str, config: &ArchitectureConfig, trace: bool) -> Simulator {
     let mut sim = Simulator::from_assembly(source, config).expect("assembles");
     sim.set_retirement_trace(trace);
     sim
+}
+
+/// The states of a full replay from cycle 0 at cycles `from..=to`.
+fn replayed_states(
+    source: &str,
+    config: &ArchitectureConfig,
+    trace: bool,
+    from: u64,
+    to: u64,
+) -> Vec<Simulator> {
+    let mut sim = fresh(source, config, trace);
+    for _ in 0..from {
+        sim.step();
+    }
+    let mut states = vec![sim.clone()];
+    for _ in from..to {
+        sim.step();
+        states.push(sim.clone());
+    }
+    states
 }
 
 fn log_text(sim: &Simulator) -> Vec<String> {
@@ -97,7 +129,7 @@ proptest! {
     fn checkpointed_step_back_equals_full_replay(
         preset_ix in 0u8..3,
         program_seed in 0u64..6,
-        ops in proptest::collection::vec((0u8..16, 1u64..1_500), 6..16),
+        ops in proptest::collection::vec((0u8..20, 1u64..1_500), 6..16),
     ) {
         let config = preset(preset_ix);
         let generated;
@@ -137,6 +169,28 @@ proptest! {
                     trace = !trace;
                     live.set_retirement_trace(trace);
                     oracle.set_retirement_trace(trace);
+                }
+                Op::WalkBack(cycles) => {
+                    let start = live.cycle();
+                    let end = start.saturating_sub(cycles);
+                    let states = replayed_states(source, &config, trace, end, start);
+                    for back in 1..=start - end {
+                        live.step_back();
+                        let state = &states[(start - end - back) as usize];
+                        check_same(&live, state, &format!("op {index} {op:?}, step back {back}"))?;
+                    }
+                    oracle = states.into_iter().next().expect("the walk's last state");
+                }
+                Op::StepBackAndForth(times) => {
+                    let back = live.cycle().saturating_sub(1);
+                    let mut states = replayed_states(source, &config, trace, back, back + 1);
+                    for round in 1..=times {
+                        live.step_back();
+                        check_same(&live, &states[0], &format!("op {index} {op:?}, back {round}"))?;
+                        live.step();
+                        check_same(&live, &states[1], &format!("op {index} {op:?}, forth {round}"))?;
+                    }
+                    oracle = states.pop().expect("the state after the last step");
                 }
             }
             check_same(&live, &oracle, &format!("op {index} {op:?}"))?;
