@@ -958,6 +958,31 @@ main:
     }
 
     #[test]
+    fn deeply_nested_operands_are_errors_on_a_worker_stack() {
+        // 100,000 levels: a 200 KB program, well inside the server's 4 MiB
+        // body limit, which a recursion per level would run off a dispatch
+        // worker's 2 MiB stack.
+        let depth = 100_000;
+        let operand = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+        let errors = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                ["li a0", "lw a0"].map(|head| err(&format!("main:\n  {head}, {operand}\n")))
+            })
+            .unwrap()
+            .join()
+            .expect("the assembling thread survives");
+        for errors in errors {
+            assert!(errors[0].message.contains("nested deeper"), "{errors:?}");
+        }
+        let nested = format!("{}1{}", "(".repeat(100), ")".repeat(100));
+        assert_eq!(
+            ok(&format!("main:\n  addi a0, a0, {nested}\n")).instructions[0].imm(2),
+            Some(1)
+        );
+    }
+
+    #[test]
     fn memory_operand_with_relocation() {
         let p = ok("arr:\n .word 1,2,3\nmain:\n  lui a1, %hi(arr)\n  lw a0, %lo(arr)(a1)\n  ret\n");
         let lw = &p.instructions[1];

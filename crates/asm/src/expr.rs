@@ -16,9 +16,14 @@
 
 use std::collections::HashMap;
 
+/// Deepest nesting of parentheses, `%hi(`/`%lo(` and unary minus an
+/// operand may use.  The evaluator recurses once per level, so the bound
+/// keeps a hostile operand from overflowing the thread's stack.
+pub const MAX_NESTING: usize = 128;
+
 /// Evaluate an operand expression against a symbol table.
 pub fn evaluate(expr: &str, symbols: &HashMap<String, i64>) -> Result<i64, String> {
-    let mut parser = Parser { input: expr, pos: 0, symbols };
+    let mut parser = Parser { input: expr, pos: 0, depth: 0, symbols };
     let value = parser.parse_expr()?;
     parser.skip_ws();
     if parser.pos != parser.input.len() {
@@ -46,6 +51,8 @@ pub fn lo12(value: i64) -> i64 {
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Nesting of the term being parsed (see [`MAX_NESTING`]).
+    depth: usize,
     symbols: &'a HashMap<String, i64>,
 }
 
@@ -70,6 +77,17 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Run `parse` one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<i64, String>) -> Result<i64, String> {
+        if self.depth >= MAX_NESTING {
+            return Err(format!("expression nested deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
     fn parse_expr(&mut self) -> Result<i64, String> {
         let mut value = self.parse_term()?;
         loop {
@@ -90,7 +108,7 @@ impl<'a> Parser<'a> {
             if !self.eat("(") {
                 return Err("expected `(` after %hi".to_string());
             }
-            let inner = self.parse_expr()?;
+            let inner = self.nested(Self::parse_expr)?;
             if !self.eat(")") {
                 return Err("missing `)` after %hi expression".to_string());
             }
@@ -100,21 +118,21 @@ impl<'a> Parser<'a> {
             if !self.eat("(") {
                 return Err("expected `(` after %lo".to_string());
             }
-            let inner = self.parse_expr()?;
+            let inner = self.nested(Self::parse_expr)?;
             if !self.eat(")") {
                 return Err("missing `)` after %lo expression".to_string());
             }
             return Ok(lo12(inner));
         }
         if self.eat("(") {
-            let inner = self.parse_expr()?;
+            let inner = self.nested(Self::parse_expr)?;
             if !self.eat(")") {
                 return Err("missing `)`".to_string());
             }
             return Ok(inner);
         }
         if self.eat("-") {
-            return Ok(-self.parse_term()?);
+            return Ok(-self.nested(Self::parse_term)?);
         }
         self.skip_ws();
         let rest = self.rest();
@@ -262,5 +280,23 @@ mod tests {
         assert!(evaluate("(arr", &s).is_err());
         assert!(evaluate("arr 4", &s).is_err());
         assert!(evaluate("@", &s).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let s = symbols();
+        let nested =
+            |open: &str, depth: usize| format!("{}arr{}", open.repeat(depth), ")".repeat(depth));
+        assert_eq!(evaluate(&nested("(", MAX_NESTING), &s).unwrap(), 0x1000);
+        assert_eq!(evaluate(&nested("%lo(", MAX_NESTING), &s).unwrap(), 0);
+        assert_eq!(evaluate(&format!("{}4", "- ".repeat(MAX_NESTING)), &s).unwrap(), 4);
+        for deeper in [
+            nested("(", MAX_NESTING + 1),
+            nested("%hi(", MAX_NESTING + 1),
+            format!("{}4", "-".repeat(MAX_NESTING + 1)),
+        ] {
+            let error = evaluate(&deeper, &s).unwrap_err();
+            assert!(error.contains("nested deeper"), "{error}");
+        }
     }
 }

@@ -147,6 +147,66 @@ mod tests {
         assert_eq!(e.to_string(), "line 3: expected `;`");
     }
 
+    /// Compile `source` at every level on a thread with a dispatch worker's
+    /// 2 MiB stack.  A pass that recursed once per nesting level would run
+    /// off it and abort the whole process, not just fail.
+    fn compile_on_worker_stack(source: String) -> Vec<Result<CompileOutput, Vec<CcError>>> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3]
+                    .map(|opt| compile(&source, opt))
+                    .into()
+            })
+            .unwrap()
+            .join()
+            .expect("the compiling thread survives")
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_on_a_worker_stack() {
+        use parser::MAX_NESTING as MAX;
+        let returning = |expr: &str| format!("int main(void) {{ int x = 1; return {expr}; }}");
+        let blocks = |depth: usize, innermost: &str| {
+            let (open, close) = ("{".repeat(depth), "}".repeat(depth));
+            format!("int main(void) {{ int x = 1; {open}{innermost}{close} return x; }}")
+        };
+        let parens =
+            |depth: usize| returning(&format!("{}x{}", "(".repeat(depth), ")".repeat(depth)));
+        let sum = |terms: usize| format!("x{}", " + x".repeat(terms - 1));
+        let prefixed =
+            |prefix: &str, count: usize| returning(&format!("{}x", prefix.repeat(count)));
+        let within = [
+            parens(MAX),
+            returning(&sum(MAX)),
+            prefixed("- ", MAX - 1),
+            blocks(MAX, ""),
+            blocks(MAX / 2, &format!("x = {};", sum(MAX / 2 - 1))),
+        ];
+        let past = [
+            parens(MAX + 1),
+            returning(&sum(MAX + 1)),
+            blocks(MAX, "x = x;"),
+            parens(1_000),
+            returning(&sum(5_000)),
+            blocks(5_000, ""),
+            prefixed("- ", 10_000),
+            prefixed("(int) ", 10_000),
+            returning(&format!("x{}", "++".repeat(10_000))),
+            format!("int main(void) {{ int {}p; return 0; }}", "*".repeat(10_000)),
+        ];
+        for (sources, compiles) in [(within.to_vec(), true), (past.to_vec(), false)] {
+            for source in sources {
+                for result in compile_on_worker_stack(source.clone()) {
+                    match result {
+                        Ok(_) => assert!(compiles, "{}", &source[..80]),
+                        Err(e) => assert!(!compiles && e[0].message.contains("nesting"), "{e:?}"),
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn end_to_end_smoke() {
         let out = compile("int main(void) { return 1 + 2; }", OptLevel::O0).unwrap();

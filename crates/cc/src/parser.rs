@@ -4,16 +4,44 @@ use crate::ast::*;
 use crate::lexer::{Tok, Token};
 use crate::CcError;
 
+/// Deepest nesting the parser accepts.  It counts parentheses, prefix
+/// operators, casts, nested statements and blocks, pointer stars, and
+/// every node of an expression tree, so operator chains, which grow the
+/// tree by one level per operator, count too.  Later passes (constant
+/// folding, code generation, `Drop`) recurse over the tree, so this bound
+/// is what keeps a hostile source from overflowing a 2 MiB thread stack.
+pub const MAX_NESTING: usize = 128;
+
+/// Binary operators by precedence level, loosest first.  Every level is
+/// left-associative.
+const BINARY_LEVELS: &[&[(&str, BinOp)]] = &[
+    &[("||", BinOp::Or)],
+    &[("&&", BinOp::And)],
+    &[("|", BinOp::BitOr)],
+    &[("^", BinOp::BitXor)],
+    &[("&", BinOp::BitAnd)],
+    &[("==", BinOp::Eq), ("!=", BinOp::Ne)],
+    &[("<", BinOp::Lt), ("<=", BinOp::Le), (">", BinOp::Gt), (">=", BinOp::Ge)],
+    &[("<<", BinOp::Shl), (">>", BinOp::Shr)],
+    &[("+", BinOp::Add), ("-", BinOp::Sub)],
+    &[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Mod)],
+];
+
 /// Parse a token stream into a translation unit.
 pub fn parse(tokens: &[Token]) -> Result<Unit, CcError> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     p.parse_unit()
 }
 
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Nesting of the construct being parsed (see [`MAX_NESTING`]).
+    depth: usize,
 }
+
+/// An expression and the depth of its tree.
+type Parsed = (Expr, usize);
 
 const KEYWORDS: &[&str] = &[
     "int", "float", "char", "void", "if", "else", "while", "for", "return", "break", "continue",
@@ -72,6 +100,35 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn too_deep(&self) -> CcError {
+        CcError::new(self.line(), format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Run `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, CcError>,
+    ) -> Result<T, CcError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Depth of a new expression node over children at most `children`
+    /// deep, refused when it would reach past [`MAX_NESTING`] together
+    /// with the nesting it sits in.
+    fn node(&self, children: usize) -> Result<usize, CcError> {
+        let depth = children + 1;
+        if self.depth + depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(depth)
+    }
+
     fn peek_type(&self) -> bool {
         matches!(self.peek(), Tok::Ident(name) if matches!(name.as_str(), "int" | "float" | "char" | "void"))
     }
@@ -92,7 +149,9 @@ impl<'a> Parser<'a> {
             }
         };
         let mut ty = base;
+        let mut stars = 0;
         while self.eat_punct("*") {
+            stars = self.node(stars)?;
             ty = CType::Ptr(Box::new(ty));
         }
         Ok(ty)
@@ -215,22 +274,25 @@ impl<'a> Parser<'a> {
     fn parse_stmt(&mut self) -> Result<Stmt, CcError> {
         let line = self.line();
         if self.eat_punct("{") {
-            return Ok(Stmt::Block { body: self.parse_block_body()? });
+            return Ok(Stmt::Block { body: self.nested(Self::parse_block_body)? });
         }
         if self.eat_keyword("if") {
             self.expect_punct("(")?;
             let cond = self.parse_expr()?;
             self.expect_punct(")")?;
-            let then = self.parse_stmt_as_block()?;
-            let els =
-                if self.eat_keyword("else") { self.parse_stmt_as_block()? } else { Vec::new() };
+            let then = self.nested(Self::parse_stmt_as_block)?;
+            let els = if self.eat_keyword("else") {
+                self.nested(Self::parse_stmt_as_block)?
+            } else {
+                Vec::new()
+            };
             return Ok(Stmt::If { cond, then, els, line });
         }
         if self.eat_keyword("while") {
             self.expect_punct("(")?;
             let cond = self.parse_expr()?;
             self.expect_punct(")")?;
-            let body = self.parse_stmt_as_block()?;
+            let body = self.nested(Self::parse_stmt_as_block)?;
             return Ok(Stmt::While { cond, body, line });
         }
         if self.eat_keyword("for") {
@@ -253,7 +315,7 @@ impl<'a> Parser<'a> {
                 Some(self.parse_expr()?)
             };
             self.expect_punct(")")?;
-            let body = self.parse_stmt_as_block()?;
+            let body = self.nested(Self::parse_stmt_as_block)?;
             return Ok(Stmt::For { init, cond, step, body, line });
         }
         if self.eat_keyword("return") {
@@ -330,186 +392,68 @@ impl<'a> Parser<'a> {
     }
 
     // ----------------------------------------------------------- expressions
+    //
+    // The parsers below return each expression with the depth of its tree,
+    // and every node they build goes through `node`.
 
     fn parse_expr(&mut self) -> Result<Expr, CcError> {
-        self.parse_assignment()
+        Ok(self.parse_assignment()?.0)
     }
 
-    fn parse_assignment(&mut self) -> Result<Expr, CcError> {
-        let lhs = self.parse_logical_or()?;
-        let compound = |op| Some(op);
+    fn parse_assignment(&mut self) -> Result<Parsed, CcError> {
+        let (lhs, lhs_depth) = self.parse_binary(0)?;
         let op = match self.peek() {
-            Tok::Punct("=") => {
-                self.advance();
-                None
-            }
-            Tok::Punct("+=") => {
-                self.advance();
-                compound(BinOp::Add)
-            }
-            Tok::Punct("-=") => {
-                self.advance();
-                compound(BinOp::Sub)
-            }
-            Tok::Punct("*=") => {
-                self.advance();
-                compound(BinOp::Mul)
-            }
-            Tok::Punct("/=") => {
-                self.advance();
-                compound(BinOp::Div)
-            }
-            Tok::Punct("%=") => {
-                self.advance();
-                compound(BinOp::Mod)
-            }
-            _ => return Ok(lhs),
+            Tok::Punct("=") => None,
+            Tok::Punct("+=") => Some(BinOp::Add),
+            Tok::Punct("-=") => Some(BinOp::Sub),
+            Tok::Punct("*=") => Some(BinOp::Mul),
+            Tok::Punct("/=") => Some(BinOp::Div),
+            Tok::Punct("%=") => Some(BinOp::Mod),
+            _ => return Ok((lhs, lhs_depth)),
         };
+        self.advance();
         if !matches!(lhs, Expr::Var(_) | Expr::Index { .. }) {
             return Err(CcError::new(
                 self.line(),
                 "assignment target must be a variable or array element",
             ));
         }
-        let value = self.parse_assignment()?;
-        Ok(Expr::Assign { target: Box::new(lhs), op, value: Box::new(value) })
+        let (value, value_depth) = self.nested(Self::parse_assignment)?;
+        let depth = self.node(lhs_depth.max(value_depth))?;
+        Ok((Expr::Assign { target: Box::new(lhs), op, value: Box::new(value) }, depth))
     }
 
-    fn parse_logical_or(&mut self) -> Result<Expr, CcError> {
-        let mut lhs = self.parse_logical_and()?;
-        while self.eat_punct("||") {
-            let rhs = self.parse_logical_and()?;
-            lhs = Expr::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_logical_and(&mut self) -> Result<Expr, CcError> {
-        let mut lhs = self.parse_bitor()?;
-        while self.eat_punct("&&") {
-            let rhs = self.parse_bitor()?;
-            lhs = Expr::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_bitor(&mut self) -> Result<Expr, CcError> {
-        let mut lhs = self.parse_bitxor()?;
-        while matches!(self.peek(), Tok::Punct("|")) {
+    /// Parse a chain of binary operators of precedence `min_level` and
+    /// tighter ([`BINARY_LEVELS`]) by precedence climbing: one call per
+    /// level actually used, each chain built left-deep.
+    fn parse_binary(&mut self, min_level: usize) -> Result<Parsed, CcError> {
+        let (mut lhs, mut depth) = self.parse_unary()?;
+        while let Some((level, op)) = self.peek_binary().filter(|&(level, _)| level >= min_level) {
             self.advance();
-            let rhs = self.parse_bitxor()?;
-            lhs = Expr::Binary { op: BinOp::BitOr, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_bitxor(&mut self) -> Result<Expr, CcError> {
-        let mut lhs = self.parse_bitand()?;
-        while matches!(self.peek(), Tok::Punct("^")) {
-            self.advance();
-            let rhs = self.parse_bitand()?;
-            lhs = Expr::Binary { op: BinOp::BitXor, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_bitand(&mut self) -> Result<Expr, CcError> {
-        let mut lhs = self.parse_equality()?;
-        while matches!(self.peek(), Tok::Punct("&")) {
-            self.advance();
-            let rhs = self.parse_equality()?;
-            lhs = Expr::Binary { op: BinOp::BitAnd, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_equality(&mut self) -> Result<Expr, CcError> {
-        let mut lhs = self.parse_relational()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Punct("==") => BinOp::Eq,
-                Tok::Punct("!=") => BinOp::Ne,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_relational()?;
+            let (rhs, rhs_depth) = self.parse_binary(level + 1)?;
+            depth = self.node(depth.max(rhs_depth))?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn parse_relational(&mut self) -> Result<Expr, CcError> {
-        let mut lhs = self.parse_shift()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Punct("<") => BinOp::Lt,
-                Tok::Punct("<=") => BinOp::Le,
-                Tok::Punct(">") => BinOp::Gt,
-                Tok::Punct(">=") => BinOp::Ge,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_shift()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
+    /// The binary operator at the cursor and its precedence level.
+    fn peek_binary(&self) -> Option<(usize, BinOp)> {
+        let Tok::Punct(punct) = self.peek() else { return None };
+        BINARY_LEVELS.iter().enumerate().find_map(|(level, operators)| {
+            operators.iter().find(|(p, _)| p == punct).map(|&(_, op)| (level, op))
+        })
     }
 
-    fn parse_shift(&mut self) -> Result<Expr, CcError> {
-        let mut lhs = self.parse_additive()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Punct("<<") => BinOp::Shl,
-                Tok::Punct(">>") => BinOp::Shr,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_additive()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, CcError> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Punct("+") => BinOp::Add,
-                Tok::Punct("-") => BinOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, CcError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Punct("*") => BinOp::Mul,
-                Tok::Punct("/") => BinOp::Div,
-                Tok::Punct("%") => BinOp::Mod,
-                _ => break,
-            };
-            self.advance();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr, CcError> {
+    fn parse_unary(&mut self) -> Result<Parsed, CcError> {
         if self.eat_punct("-") {
-            return Ok(Expr::Unary { op: UnOp::Neg, expr: Box::new(self.parse_unary()?) });
+            return self.prefix(|expr| Expr::Unary { op: UnOp::Neg, expr });
         }
         if self.eat_punct("!") {
-            return Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(self.parse_unary()?) });
+            return self.prefix(|expr| Expr::Unary { op: UnOp::Not, expr });
         }
         if self.eat_punct("+") {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         // Cast: `(int) x` / `(float) x`.
         if matches!(self.peek(), Tok::Punct("(")) {
@@ -520,18 +464,25 @@ impl<'a> Parser<'a> {
                     self.advance(); // (
                     let ty = self.parse_type()?;
                     self.expect_punct(")")?;
-                    return Ok(Expr::Cast { ty, expr: Box::new(self.parse_unary()?) });
+                    return self.prefix(|expr| Expr::Cast { ty, expr });
                 }
             }
         }
         self.parse_postfix()
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr, CcError> {
-        let mut expr = self.parse_primary()?;
+    /// The operand of a prefix operator, one level deeper, under the node
+    /// `wrap` builds.
+    fn prefix(&mut self, wrap: impl FnOnce(Box<Expr>) -> Expr) -> Result<Parsed, CcError> {
+        let (operand, operand_depth) = self.nested(Self::parse_unary)?;
+        Ok((wrap(Box::new(operand)), self.node(operand_depth)?))
+    }
+
+    fn parse_postfix(&mut self) -> Result<Parsed, CcError> {
+        let (mut expr, mut depth) = self.parse_primary()?;
         loop {
             if self.eat_punct("[") {
-                let index = self.parse_expr()?;
+                let (index, index_depth) = self.nested(Self::parse_assignment)?;
                 self.expect_punct("]")?;
                 let base = match expr {
                     Expr::Var(name) => name,
@@ -542,26 +493,29 @@ impl<'a> Parser<'a> {
                         ));
                     }
                 };
+                depth = self.node(index_depth)?;
                 expr = Expr::Index { base, index: Box::new(index) };
             } else if self.eat_punct("++") {
+                depth = self.node(depth)?;
                 expr = Expr::PostIncDec { target: Box::new(expr), inc: true };
             } else if self.eat_punct("--") {
+                depth = self.node(depth)?;
                 expr = Expr::PostIncDec { target: Box::new(expr), inc: false };
             } else {
                 break;
             }
         }
-        Ok(expr)
+        Ok((expr, depth))
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, CcError> {
+    fn parse_primary(&mut self) -> Result<Parsed, CcError> {
         let line = self.line();
         match self.advance() {
-            Tok::Int(v) => Ok(Expr::IntLit(v)),
-            Tok::Float(v) => Ok(Expr::FloatLit(v)),
-            Tok::Char(v) => Ok(Expr::CharLit(v)),
+            Tok::Int(v) => Ok((Expr::IntLit(v), 1)),
+            Tok::Float(v) => Ok((Expr::FloatLit(v), 1)),
+            Tok::Char(v) => Ok((Expr::CharLit(v), 1)),
             Tok::Punct("(") => {
-                let inner = self.parse_expr()?;
+                let inner = self.nested(Self::parse_assignment)?;
                 self.expect_punct(")")?;
                 Ok(inner)
             }
@@ -569,21 +523,23 @@ impl<'a> Parser<'a> {
                 if KEYWORDS.contains(&name.as_str()) {
                     return Err(CcError::new(line, format!("unexpected keyword `{name}`")));
                 }
-                if self.eat_punct("(") {
-                    let mut args = Vec::new();
-                    if !self.eat_punct(")") {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if !self.eat_punct(",") {
-                                break;
-                            }
-                        }
-                        self.expect_punct(")")?;
-                    }
-                    Ok(Expr::Call { name, args })
-                } else {
-                    Ok(Expr::Var(name))
+                if !self.eat_punct("(") {
+                    return Ok((Expr::Var(name), 1));
                 }
+                let mut args = Vec::new();
+                let mut deepest = 0;
+                if !self.eat_punct(")") {
+                    loop {
+                        let (arg, arg_depth) = self.nested(Self::parse_assignment)?;
+                        args.push(arg);
+                        deepest = deepest.max(arg_depth);
+                        if !self.eat_punct(",") {
+                            break;
+                        }
+                    }
+                    self.expect_punct(")")?;
+                }
+                Ok((Expr::Call { name, args }, self.node(deepest)?))
             }
             other => Err(CcError::new(line, format!("unexpected token {other:?} in expression"))),
         }

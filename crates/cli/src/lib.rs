@@ -1343,12 +1343,9 @@ pub fn render_top(
         value("rvsim_sessions_live").or_else(|| value("rvsim_upstream_sessions_live"))
     {
         out.push_str(&format!(
-            "  sessions {live:.0}   evicted {:.0}   coalesced steps {:.0}   shared GetState {:.0}\n",
+            "  sessions {live:.0}   evicted {:.0}   shared GetState {:.0}\n",
             value("rvsim_sessions_evicted_total")
                 .or_else(|| value("rvsim_upstream_sessions_evicted_total"))
-                .unwrap_or(0.0),
-            value("rvsim_steps_coalesced_total")
-                .or_else(|| value("rvsim_upstream_steps_coalesced_total"))
                 .unwrap_or(0.0),
             value("rvsim_getstate_shared_total")
                 .or_else(|| value("rvsim_upstream_getstate_shared_total"))

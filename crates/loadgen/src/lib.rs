@@ -860,12 +860,41 @@ mod tests {
         assert!(report.errors_by_second.iter().all(|&e| e == 0));
         // The load actually advanced state: every session left its warm-up
         // cycle.
+        let mut cycle = |session| match setup.call(&Request::GetState { session }).unwrap() {
+            Response::State(snapshot) => snapshot.cycle,
+            other => panic!("unexpected {other:?}"),
+        };
         for &session in &sessions {
-            match setup.call(&Request::GetState { session }).unwrap() {
-                Response::State(snapshot) => assert!(snapshot.cycle > 8),
-                other => panic!("unexpected {other:?}"),
-            }
+            assert!(cycle(session) > 8);
         }
+
+        // More connections than sessions: Steps on one session arrive
+        // concurrently, and its lock must apply each exactly once.  On a
+        // loop that outlasts the window, every answered Step advanced its
+        // session one cycle past the warm-up's 8; a Step still in flight
+        // when the window closed may have advanced it too.
+        const LONG_LOOP: &str = "
+main:
+    li   t0, 0
+    li   t1, 1000000
+loop:
+    addi t0, t0, 1
+    bne  t0, t1, loop
+    ret
+";
+        let shared =
+            create_sessions(net.local_addr(), LONG_LOOP, std::iter::repeat_n(None, 2)).unwrap();
+        let report =
+            run(net.local_addr(), &load(6, Pacing::ClosedLoop, Mix::Step(shared.clone()), 300));
+        assert_eq!(report.errors, 0, "{report:?}");
+        assert!(report.requests > 0, "{report:?}");
+        let advanced: u64 = shared.iter().map(|&session| cycle(session) - 8).sum();
+        let in_flight = report.connections as u64;
+        assert!(
+            (report.requests..=report.requests + in_flight).contains(&advanced),
+            "{advanced} cycles for {} answered Steps",
+            report.requests
+        );
         net.shutdown();
     }
 

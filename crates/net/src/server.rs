@@ -16,10 +16,11 @@
 //!   writes, `EPOLLOUT`-driven).  A keep-alive connection between requests
 //!   costs one registered fd, not a parked thread;
 //! * **dispatch workers** execute `POST /api` payloads in
-//!   [`SimulationServer::handle_raw`] (where per-session request coalescing
-//!   lives) and post the shared [`bytes::Bytes`] response back to the
-//!   owning loop through its waker — a cached `GetState` is served with
-//!   zero payload copies end to end;
+//!   [`SimulationServer::handle_raw`] (where each session's lock orders
+//!   concurrent requests on it) and post the shared [`bytes::Bytes`]
+//!   response back to the owning loop through its waker — a cached
+//!   `GetState` is served with zero payload copies end to end.  A handler
+//!   that panics is answered `500` and the worker lives on;
 //! * every connection carries a **deadline**: a partially received request
 //!   must complete within `header_deadline`, a response must make write
 //!   progress within `write_deadline`, and an idle keep-alive connection is
@@ -47,6 +48,7 @@ use rvsim_server::SimulationServer;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -124,6 +126,8 @@ pub struct NetStats {
     pub http_errors: AtomicU64,
     /// Requests answered `503` because the dispatch queue was full.
     pub dispatch_rejected: AtomicU64,
+    /// Requests answered `500` because their handler panicked.
+    pub handler_panics: AtomicU64,
 }
 
 /// What the front end serves: the event loops handle HTTP framing and the
@@ -173,8 +177,8 @@ pub struct ControlResponse {
 }
 
 impl ApiHandler for SimulationServer {
-    fn handle_api(&self, body: &[u8], request_id: u64) -> Bytes {
-        self.handle_raw_traced(body, request_id)
+    fn handle_api(&self, body: &[u8], _request_id: u64) -> Bytes {
+        self.handle_raw(body)
     }
 
     fn handle_control(&self, target: &str, body: &[u8]) -> Option<ControlResponse> {
@@ -219,11 +223,6 @@ impl ApiHandler for SimulationServer {
     }
 
     fn append_metrics(&self, out: &mut Exposition) {
-        out.counter(
-            "rvsim_steps_coalesced_total",
-            "Step requests that joined an in-flight coalesced batch.",
-            self.coalesced_step_count(),
-        );
         out.counter(
             "rvsim_getstate_shared_total",
             "GetState responses served from the shared render cache.",
@@ -371,6 +370,7 @@ impl NetServer {
             threads.push(spawn_dispatch_worker(
                 job_rx.clone(),
                 Arc::clone(&handler),
+                Arc::clone(&stats),
                 Arc::clone(&shutdown),
             ));
         }
@@ -558,6 +558,7 @@ fn reject_overloaded(mut stream: TcpStream) {
 fn spawn_dispatch_worker(
     jobs: Receiver<Job>,
     handler: Arc<dyn ApiHandler>,
+    stats: Arc<NetStats>,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || loop {
@@ -565,7 +566,10 @@ fn spawn_dispatch_worker(
             Ok(job) => {
                 let queue_us = elapsed_us(job.enqueued);
                 let handler_started = Instant::now();
-                let (status, reason, content_type, payload) = match &job.target {
+                // A panicking handler must not take the worker with it: the
+                // client would wait for an answer that never comes, and the
+                // pool would shrink by one.
+                let answered = catch_unwind(AssertUnwindSafe(|| match &job.target {
                     None => (
                         200,
                         "OK",
@@ -586,7 +590,17 @@ fn spawn_dispatch_worker(
                             Bytes::from(format!("no such endpoint: {target}\n").into_bytes()),
                         ),
                     },
-                };
+                }));
+                let (status, reason, content_type, payload) = answered.unwrap_or_else(|panic| {
+                    stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+                    let message = panic
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("no message");
+                    let body = format!("request handler panicked: {message}\n");
+                    (500, "Internal Server Error", "text/plain", Bytes::from(body.into_bytes()))
+                });
                 let completion = Completion {
                     token: job.token,
                     generation: job.generation,
@@ -1484,6 +1498,11 @@ fn render_metrics(
         "rvsim_dispatch_rejected_total",
         "Requests answered 503 because the dispatch queue was full.",
         stats.dispatch_rejected.load(Ordering::Relaxed),
+    );
+    out.counter(
+        "rvsim_handler_panics_total",
+        "Requests answered 500 because their handler panicked.",
+        stats.handler_panics.load(Ordering::Relaxed),
     );
     out.family(
         "rvsim_request_phase_seconds",

@@ -2,11 +2,13 @@
 //! through [`TcpApiClient`] and raw sockets.  Every test skips gracefully
 //! when the sandbox forbids loopback sockets.
 
-use rvsim_net::{NetConfig, NetServer, TcpApiClient};
+use bytes::Bytes;
+use rvsim_net::{ApiHandler, NetConfig, NetServer, TcpApiClient};
 use rvsim_server::{DeploymentConfig, DeploymentMode, Request, Response, SimulationServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const PROGRAM: &str = "
 main:
@@ -146,6 +148,44 @@ fn metrics_and_healthz_endpoints_respond() {
     let mut text = String::new();
     stream.read_to_string(&mut text).unwrap();
     assert!(text.contains("ok"), "{text}");
+    server.shutdown();
+}
+
+/// An `/api` handler that panics on the payload `panic` and answers `ok`
+/// to anything else.
+struct PanickingHandler;
+
+impl ApiHandler for PanickingHandler {
+    fn handle_api(&self, body: &[u8], _request_id: u64) -> Bytes {
+        assert_ne!(body, b"panic", "the test asked this handler to panic");
+        Bytes::from(b"ok".to_vec())
+    }
+}
+
+#[test]
+fn a_panicking_handler_answers_500_and_keeps_its_worker() {
+    if !loopback_available() {
+        return;
+    }
+    let config = NetConfig { dispatch_workers: 2, ..NetConfig::default() };
+    let server = NetServer::start_with_handler(Arc::new(PanickingHandler), config).unwrap();
+    let addr = server.local_addr();
+    // More panics than workers: a panic that ended its worker would leave
+    // the third request, and the normal one after it, unanswered.
+    for _ in 0..3 {
+        let sent = Instant::now();
+        let (status, body) =
+            rvsim_net::http_post(addr, "/api", b"panic", Duration::from_secs(1)).unwrap();
+        assert_eq!(status, 500, "{}", String::from_utf8_lossy(&body));
+        assert!(String::from_utf8_lossy(&body).contains("panicked"));
+        assert!(sent.elapsed() < Duration::from_secs(1));
+    }
+    let (status, body) =
+        rvsim_net::http_post(addr, "/api", b"step", Duration::from_secs(1)).unwrap();
+    assert_eq!((status, body.as_slice()), (200, &b"ok"[..]));
+    let (_, metrics) = rvsim_net::http_get(addr, "/metrics", Duration::from_secs(1)).unwrap();
+    let metrics = String::from_utf8(metrics).unwrap();
+    assert!(metrics.contains("\nrvsim_handler_panics_total 3\n"), "{metrics}");
     server.shutdown();
 }
 

@@ -27,9 +27,6 @@ pub enum EventKind {
     Request,
     /// Same as [`EventKind::Request`] but over the slow-request threshold.
     SlowRequest,
-    /// A step request joined an in-flight coalesced batch. `a` = waiters
-    /// sharing the batch, `b` = cycles stepped.
-    CoalesceJoin,
     /// A checkpoint sweep finished. `a` = sessions written, `b` = sweep µs.
     CheckpointSweep,
     /// A circuit breaker opened. `a` = backend index.
@@ -62,7 +59,6 @@ impl EventKind {
             EventKind::ConnClose => "conn_close",
             EventKind::Request => "request",
             EventKind::SlowRequest => "slow_request",
-            EventKind::CoalesceJoin => "coalesce_join",
             EventKind::CheckpointSweep => "checkpoint_sweep",
             EventKind::BreakerOpen => "breaker_open",
             EventKind::BreakerClose => "breaker_close",
@@ -82,7 +78,6 @@ impl EventKind {
             EventKind::ConnOpen => ("open_conns", "b"),
             EventKind::ConnClose => ("reason", "requests"),
             EventKind::Request | EventKind::SlowRequest => ("status", "total_us"),
-            EventKind::CoalesceJoin => ("waiters", "cycles"),
             EventKind::CheckpointSweep => ("sessions", "sweep_us"),
             EventKind::BreakerOpen
             | EventKind::BreakerClose

@@ -50,7 +50,7 @@ pub const DEFAULT_SLOW_REQUEST_US: u64 = 100_000;
 /// Per-process-instance observability handle: the journal, the per-phase
 /// connection histograms and the request-id mint.  The network front end
 /// and the [`ApiHandler`](../rvsim_net) it serves share one `Observer`, so
-/// handler-side events (coalescing joins, checkpoint sweeps) land in the
+/// handler-side events (checkpoint sweeps, session restores) land in the
 /// same ring as connection lifecycle events.
 #[derive(Debug)]
 pub struct Observer {

@@ -10,9 +10,9 @@ use rvsim_cc::OptLevel;
 use rvsim_core::{ArchitectureConfig, ProcessorSnapshot, Simulator, SnapshotBuffer, SnapshotDelta};
 use rvsim_obs::{Event, EventKind, Histogram, HistogramSnapshot, Observer};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How the server emulates its deployment (§IV-A, Table I).
@@ -96,8 +96,6 @@ struct Session {
     serve: ServeCache,
     /// Assembly source the simulator was built from (serialize/restore).
     program: String,
-    /// Architecture the simulator runs (serialize/restore).
-    config: ArchitectureConfig,
     /// State-generation counter: bumped whenever the simulator behind this
     /// id is replaced (in-place restore).  Part of the serve-cache key, so
     /// a replaced session can never serve a stale cached payload captured
@@ -107,6 +105,24 @@ struct Session {
     /// before the first one).  `Some(current cycle)` means the checkpoint is
     /// current and the periodic tick / eviction spill can skip the write.
     checkpointed_cycle: Option<u64>,
+    /// The session left the store (destroyed, serialized away or evicted).
+    /// Set under this lock, so a request that waited for the lock answers
+    /// `unknown session` instead of acting on state that lives elsewhere
+    /// now (the router retries it on the new owner).
+    removed: bool,
+}
+
+impl Session {
+    fn new(simulator: Simulator, program: String, checkpointed_cycle: Option<u64>) -> Self {
+        Session {
+            simulator,
+            serve: ServeCache::default(),
+            program,
+            epoch: 0,
+            checkpointed_cycle,
+            removed: false,
+        }
+    }
 }
 
 /// A stored session: the individually-locked simulator state plus an
@@ -117,70 +133,11 @@ struct SessionSlot {
     /// this session up.
     last_touched_ms: AtomicU64,
     session: Mutex<Session>,
-    /// Waiting room for the per-session `Step` combiner (request
-    /// coalescing): see [`SimulationServer::coalesced_step`].
-    steps: StepQueue,
-}
-
-/// One queued `Step` request awaiting the session's combiner.
-struct StepTicket {
-    id: u64,
-    cycles: u64,
-}
-
-/// Flat-combining queue for a session's `Step` requests.
-///
-/// When `Step`s for one session arrive faster than the simulator executes
-/// them, the threads carrying them do not line up on the session mutex.
-/// The first arrival becomes the *combiner*: it takes the session lock once
-/// and executes every queued ticket **in arrival order**, publishing each
-/// ticket's cumulative result; the other threads block on the condvar and
-/// wake with their response already computed.  The observable behaviour —
-/// every response and the final simulator state — is byte-identical to the
-/// same requests executing sequentially in arrival order; what is saved is
-/// N-1 lock handoffs and their cache-line migrations per batch.
-#[derive(Default)]
-struct StepQueue {
-    inner: Mutex<StepQueueInner>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct StepQueueInner {
-    next_ticket: u64,
-    pending: VecDeque<StepTicket>,
-    finished: HashMap<u64, Response>,
-    /// A combiner currently owns the session and will drain `pending`.
-    combining: bool,
-    /// The session was destroyed, evicted or migrated away.  New arrivals
-    /// answer `unknown session` immediately, and [`close_step_queue`]
-    /// already failed every queued ticket — nobody sleeps on the condvar
-    /// waiting for a combiner that will never come.
-    closed: bool,
 }
 
 /// The answer to a request naming a session that does not exist.
 fn unknown_session(id: u64) -> Response {
     Response::error(format!("unknown session {id}"))
-}
-
-/// Close a removed session's step queue: fail every queued ticket with an
-/// `unknown session` error and wake the waiters.  Without this, a `Step`
-/// enqueued between lookup and removal (destroy or idle eviction) would
-/// either hang on the condvar or silently execute against the removed
-/// simulator.
-fn close_step_queue(id: u64, slot: &SessionSlot) {
-    let queue = &slot.steps;
-    let mut inner = queue.inner.lock();
-    inner.closed = true;
-    let drained: Vec<u64> = inner.pending.drain(..).map(|t| t.id).collect();
-    if drained.is_empty() {
-        return;
-    }
-    for ticket in drained {
-        inner.finished.insert(ticket, unknown_session(id));
-    }
-    queue.ready.notify_all();
 }
 
 /// Number of shards in the session store.  Power of two; sixteen shards keep
@@ -304,9 +261,6 @@ pub struct SimulationServer {
     session_count: AtomicUsize,
     /// Sessions dropped by the idle sweep over the server's lifetime.
     evicted_sessions: AtomicU64,
-    /// `Step` requests executed by another request's combiner pass (i.e.
-    /// requests that were coalesced instead of taking the session lock).
-    coalesced_steps: AtomicU64,
     /// `state` answers served from the cached encoded payload as a
     /// shared handle (no render, no copy).
     shared_state_serves: AtomicU64,
@@ -339,7 +293,6 @@ impl SimulationServer {
             shards: (0..SESSION_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             session_count: AtomicUsize::new(0),
             evicted_sessions: AtomicU64::new(0),
-            coalesced_steps: AtomicU64::new(0),
             shared_state_serves: AtomicU64::new(0),
             next_session: AtomicU64::new(1),
             checkpoints: None,
@@ -419,12 +372,6 @@ impl SimulationServer {
         self.evicted_sessions.load(Ordering::Relaxed)
     }
 
-    /// `Step` requests whose cycles were executed by another request's
-    /// combiner pass (request coalescing) over the server's lifetime.
-    pub fn coalesced_step_count(&self) -> u64 {
-        self.coalesced_steps.load(Ordering::Relaxed)
-    }
-
     /// `state` answers (`GetState`, or the full-snapshot fallback of
     /// `GetStateDelta`) served as a shared handle to the cached encoded
     /// payload (unchanged cycle: no render, no compression, no copy).
@@ -434,8 +381,8 @@ impl SimulationServer {
 
     /// This instance's observability handle.  The network front end shares
     /// it (via `ApiHandler::observer`), so request-phase histograms,
-    /// connection events and handler-side events (coalescing joins,
-    /// checkpoint sweeps, restores) all live in one journal.
+    /// connection events and handler-side events (checkpoint sweeps,
+    /// restores) all live in one journal.
     pub fn observability(&self) -> &Arc<Observer> {
         &self.obs
     }
@@ -479,16 +426,9 @@ impl SimulationServer {
             self.checkpoints.as_ref().ok_or_else(|| "checkpointing is disabled".to_string())?;
         let (envelope, age) = ckpt.store.load(id)?;
         let simulator = envelope.replay()?;
-        let session = Session {
-            simulator,
-            serve: ServeCache::default(),
-            program: envelope.program,
-            config: envelope.architecture,
-            epoch: 0,
-            // The envelope just came *from* the store: the on-disk
-            // checkpoint is current by construction, skip the re-write.
-            checkpointed_cycle: Some(envelope.cycle),
-        };
+        // The envelope just came *from* the store: the on-disk checkpoint
+        // is current by construction, skip the re-write.
+        let session = Session::new(simulator, envelope.program, Some(envelope.cycle));
         self.next_session.fetch_max(id.saturating_add(1), Ordering::Relaxed);
         if self.install_session(id, session).is_ok() {
             ckpt.restored.fetch_add(1, Ordering::Relaxed);
@@ -509,29 +449,42 @@ impl SimulationServer {
             .ok_or_else(|| format!("session {id} vanished during restore"))
     }
 
-    /// Remove session `id`, including its on-disk checkpoint.  Returns
-    /// whether it existed (resident or spilled).
-    fn remove_session(&self, id: u64) -> bool {
-        let resident = match self.shards[shard_index(id)].write().remove(&id) {
-            Some(slot) => {
-                self.session_count.fetch_sub(1, Ordering::AcqRel);
-                close_step_queue(id, &slot);
-                true
-            }
-            None => false,
+    /// Destroy session `id`, including its on-disk checkpoint.  Returns
+    /// whether it existed (resident or spilled).  A resident session is
+    /// looked up without restore-on-demand and removed under its lock.
+    fn destroy_session(&self, id: u64) -> bool {
+        let Some(slot) = self.shards[shard_index(id)].read().get(&id).cloned() else {
+            return self.checkpoints.as_ref().is_some_and(|c| c.store.remove(id));
         };
-        // Destroy means destroy: a spilled checkpoint must not resurrect
-        // the session on its next touch.
-        let spilled = self.checkpoints.as_ref().is_some_and(|c| c.store.remove(id));
-        resident || spilled
+        let mut session = slot.session.lock();
+        if session.removed {
+            // Serialized away while this request waited: its new owner
+            // answers for it.
+            return false;
+        }
+        self.vacate(id, &mut session);
+        true
+    }
+
+    /// Take session `id` out of the store, its on-disk checkpoint first, so
+    /// that restore-on-demand cannot bring it back.  The caller holds the
+    /// session's lock, and every request that waited for it answers
+    /// `unknown session`.
+    fn vacate(&self, id: u64, session: &mut Session) {
+        if let Some(ckpt) = &self.checkpoints {
+            ckpt.store.remove(id);
+        }
+        self.shards[shard_index(id)].write().remove(&id);
+        self.session_count.fetch_sub(1, Ordering::AcqRel);
+        session.removed = true;
     }
 
     /// Drop sessions whose last request is older than `ttl`.  Returns how
-    /// many were evicted.  A session whose lock is currently held (a request
-    /// is mid-flight on it) is never evicted, and the idle timestamp is
-    /// re-checked under the shard's write lock so a lookup racing with the
-    /// sweep keeps its session.  Lock scope stays per-shard: a sweep never
-    /// stops the world.
+    /// many were evicted.  A session that a request holds (from its lookup
+    /// to its answer) is never evicted, and the idle timestamp is re-checked
+    /// under the shard's write lock so a lookup racing with the sweep keeps
+    /// its session.  Lock scope stays per-shard: a sweep never stops the
+    /// world.
     pub fn evict_idle_older_than(&self, ttl: Duration) -> usize {
         // Before `ttl` has elapsed since server start nothing can be older
         // than the cutoff (checked_sub, not saturating: a cutoff clamped to
@@ -556,14 +509,11 @@ impl SimulationServer {
                     if slot.last_touched_ms.load(Ordering::Relaxed) > cutoff {
                         return false;
                     }
-                    // A session with queued or in-flight Step work is not
-                    // idle, whatever its touch stamp says: removing it would
-                    // strand the queued waiters behind a combiner that will
-                    // never publish their results.
-                    let queue = slot.steps.inner.lock();
-                    let quiet = queue.pending.is_empty() && !queue.combining;
-                    drop(queue);
-                    if !quiet {
+                    // A request holds a clone of the slot from its lookup
+                    // (made under this shard's lock) to its answer, also
+                    // while it waits for the session lock: that session is
+                    // busy, whatever its touch stamp says.
+                    if Arc::strong_count(slot) > 1 {
                         return false;
                     }
                     let Some(mut session) = slot.session.try_lock() else {
@@ -584,20 +534,16 @@ impl SimulationServer {
                             }
                         }
                     }
+                    session.removed = true;
                     true
                 });
                 if still_idle {
-                    if let Some(slot) = guard.remove(&id) {
-                        self.session_count.fetch_sub(1, Ordering::AcqRel);
-                        // Close the queue anyway: a Step that raced past the
-                        // quiet check errors out instead of stepping (or
-                        // waiting on) the removed session.
-                        close_step_queue(id, &slot);
-                        if let Some(ckpt) = &self.checkpoints {
-                            ckpt.spilled.fetch_add(1, Ordering::Relaxed);
-                        }
-                        evicted += 1;
+                    guard.remove(&id);
+                    self.session_count.fetch_sub(1, Ordering::AcqRel);
+                    if let Some(ckpt) = &self.checkpoints {
+                        ckpt.spilled.fetch_add(1, Ordering::Relaxed);
                     }
+                    evicted += 1;
                 }
             }
         }
@@ -618,22 +564,15 @@ impl SimulationServer {
     /// Handle one raw JSON request payload and produce its encoded response:
     /// the full per-request work the paper's performance evaluation
     /// measures (decode, simulate, render, compress).  This is the server's
-    /// one request path; every transport and test goes through it.
-    /// `GetState` takes the allocation-free serve path: an unchanged cycle
-    /// returns the cached encoded payload without re-capturing anything,
-    /// and the returned [`Bytes`] handle shares the cache's buffer, so
-    /// transports write it to the wire without copying.
+    /// one request path; every transport and test goes through it.  Each
+    /// request is timed into its endpoint's latency histogram; the
+    /// cached-serve fast paths (`GetState`/`GetStateDelta`) one request in
+    /// 16, with matching weight.  `GetState` takes the allocation-free
+    /// serve path: an unchanged cycle returns the cached encoded payload
+    /// without re-capturing anything, and the returned [`Bytes`] handle
+    /// shares the cache's buffer, so transports write it to the wire
+    /// without copying.
     pub fn handle_raw(&self, request_json: &[u8]) -> Bytes {
-        self.handle_raw_traced(request_json, 0)
-    }
-
-    /// [`handle_raw`](Self::handle_raw) carrying the request id minted (or
-    /// propagated) by the front end, so handler-side journal events can be
-    /// correlated with the connection's request trace.  Each request is
-    /// timed into its endpoint's latency histogram; the cached-serve fast
-    /// paths (`GetState`/`GetStateDelta`) one request in 16, with matching
-    /// weight.
-    pub fn handle_raw_traced(&self, request_json: &[u8], request_id: u64) -> Bytes {
         let request = match serde_json::from_slice::<Request>(request_json) {
             Ok(request) => request,
             Err(e) => {
@@ -642,12 +581,14 @@ impl SimulationServer {
             }
         };
         match request {
-            Request::GetState { session } => {
-                self.dispatch(Endpoint::GetState, true, || self.serve_state(session))
-            }
+            Request::GetState { session } => self.dispatch(Endpoint::GetState, true, || {
+                self.with_session(session, |s| self.state_payload(s))
+                    .unwrap_or_else(|| self.encode(&unknown_session(session)))
+            }),
             Request::GetStateDelta { session, since_cycle } => {
                 self.dispatch(Endpoint::GetStateDelta, true, || {
-                    self.serve_delta(session, since_cycle)
+                    self.with_session(session, |s| self.serve_delta(s, since_cycle))
+                        .unwrap_or_else(|| self.encode(&unknown_session(session)))
                 })
             }
             Request::CreateSession { program, architecture, entry: _, session } => self
@@ -657,44 +598,68 @@ impl SimulationServer {
             Request::Compile { source, optimization } => {
                 self.respond(Endpoint::Compile, || compile(&source, optimization))
             }
-            Request::Step { session, cycles } => {
-                self.respond(Endpoint::Step, || match self.session(session) {
-                    Some(slot) => self.coalesced_step(session, &slot, cycles, request_id),
-                    None => unknown_session(session),
-                })
-            }
-            Request::StepBack { session, cycles } => self.respond(Endpoint::StepBack, || {
-                self.with_session(session, |s| {
+            Request::Step { session, cycles } => self.on_session(Endpoint::Step, session, |s| {
+                let sim = &mut s.simulator;
+                for _ in 0..cycles {
+                    sim.step();
+                }
+                Response::Stepped { cycle: sim.cycle(), halted: sim.is_halted() }
+            }),
+            Request::StepBack { session, cycles } => {
+                self.on_session(Endpoint::StepBack, session, |s| {
                     let sim = &mut s.simulator;
                     sim.step_back_by(cycles);
                     Response::Stepped { cycle: sim.cycle(), halted: sim.is_halted() }
                 })
-            }),
-            Request::Run { session, max_cycles } => self.respond(Endpoint::Run, || {
-                self.with_session(session, |s| match s.simulator.run(max_cycles) {
+            }
+            Request::Run { session, max_cycles } => {
+                self.on_session(Endpoint::Run, session, |s| match s.simulator.run(max_cycles) {
                     Ok(result) => {
                         Response::Stepped { cycle: result.cycles, halted: s.simulator.is_halted() }
                     }
                     Err(e) => Response::error(e),
                 })
-            }),
-            Request::GetStats { session } => self.respond(Endpoint::GetStats, || {
-                self.with_session(session, |s| Response::Stats(Box::new(s.simulator.statistics())))
+            }
+            Request::GetStats { session } => self.on_session(Endpoint::GetStats, session, |s| {
+                Response::Stats(Box::new(s.simulator.statistics()))
             }),
             Request::DestroySession { session } => self.respond(Endpoint::DestroySession, || {
-                if self.remove_session(session) {
+                if self.destroy_session(session) {
                     Response::Destroyed
                 } else {
                     unknown_session(session)
                 }
             }),
-            Request::SerializeSession { session, destroy } => self
-                .respond(Endpoint::SerializeSession, || self.serialize_session(session, destroy)),
+            Request::SerializeSession { session, destroy } => {
+                self.on_session(Endpoint::SerializeSession, session, |s| {
+                    let envelope = SessionEnvelope::capture(session, &s.simulator, &s.program);
+                    if destroy {
+                        // Capture and removal under one hold of the lock:
+                        // no request can act on the session in between,
+                        // which is the atomic "serialize and vacate" a
+                        // live migration needs.
+                        self.vacate(session, s);
+                    }
+                    Response::Serialized(Box::new(envelope))
+                })
+            }
             Request::RestoreSession { envelope, replace } => {
                 self.respond(Endpoint::RestoreSession, || self.restore_session(*envelope, replace))
             }
             Request::ListSessions => self.respond(Endpoint::ListSessions, || self.list_sessions()),
         }
+    }
+
+    /// [`respond`](Self::respond) to a request on session `id`: `f` answers
+    /// it [`with_session`](Self::with_session), and a missing session
+    /// answers `unknown session`.
+    fn on_session(
+        &self,
+        endpoint: Endpoint,
+        id: u64,
+        f: impl FnOnce(&mut Session) -> Response,
+    ) -> Bytes {
+        self.respond(endpoint, || self.with_session(id, f).unwrap_or_else(|| unknown_session(id)))
     }
 
     /// [`dispatch`](Self::dispatch) an always-timed request whose handler
@@ -734,23 +699,11 @@ impl SimulationServer {
         encode_response(response, self.config.compress_responses)
     }
 
-    /// Answer `GetState`: the session's `state` payload.
-    fn serve_state(&self, id: u64) -> Bytes {
-        match self.session(id) {
-            Some(slot) => self.state_payload(&mut slot.session.lock()),
-            None => self.encode(&unknown_session(id)),
-        }
-    }
-
     /// Answer `GetStateDelta` against the session's stored base: a real
     /// delta when the base matches `since_cycle`, the full `state` payload
     /// otherwise (first request, or the client fell behind).  Either way
     /// the served state becomes the next delta base.
-    fn serve_delta(&self, id: u64, since_cycle: u64) -> Bytes {
-        let Some(slot) = self.session(id) else {
-            return self.encode(&unknown_session(id));
-        };
-        let mut session = slot.session.lock();
+    fn serve_delta(&self, session: &mut Session, since_cycle: u64) -> Bytes {
         let current = ProcessorSnapshot::capture(&session.simulator);
         let delta = match &session.serve.delta_base {
             Some(base) if base.cycle == since_cycle => Some(SnapshotDelta::between(base, &current)),
@@ -759,7 +712,7 @@ impl SimulationServer {
         session.serve.delta_base = Some(current);
         match delta {
             Some(delta) => self.encode(&Response::StateDelta(Box::new(delta))),
-            None => self.state_payload(&mut session),
+            None => self.state_payload(session),
         }
     }
 
@@ -797,26 +750,6 @@ impl SimulationServer {
         serve.encoded.clone()
     }
 
-    /// Capture session `id` as a portable envelope.  With `destroy`, the
-    /// session is removed while its lock is still held: no request can
-    /// observe it between the capture and the removal, which is the atomic
-    /// "serialize and vacate" a live migration needs.
-    fn serialize_session(&self, id: u64, destroy: bool) -> Response {
-        let Some(slot) = self.session(id) else {
-            return unknown_session(id);
-        };
-        let guard = slot.session.lock();
-        let envelope = SessionEnvelope::capture(id, &guard.simulator, &guard.program);
-        if destroy {
-            // Holding the session lock here is safe: the eviction sweep
-            // only `try_lock`s sessions, so no shard-write holder ever
-            // blocks on a session lock.
-            self.remove_session(id);
-        }
-        drop(guard);
-        Response::Serialized(Box::new(envelope))
-    }
-
     /// Install a session from an envelope under the envelope's original id.
     /// The restore replays the program to the captured cycle and refuses to
     /// install state it cannot reproduce exactly.
@@ -829,35 +762,25 @@ impl SimulationServer {
         // Keep the auto-assign counter ahead of explicitly installed ids so
         // a later plain CreateSession can never collide with a restore.
         self.next_session.fetch_max(id.saturating_add(1), Ordering::Relaxed);
-        if replace {
-            if let Some(slot) = self.session(id) {
-                let mut guard = slot.session.lock();
-                guard.simulator = simulator;
-                guard.program = envelope.program;
-                guard.config = envelope.architecture;
-                // New state generation behind the same id: bump the serve
-                // epoch so the cached GetState payload (keyed by epoch +
-                // cycle) can never be served for the replaced state, and
-                // drop the delta base — the client's held snapshot no
-                // longer descends from this session's history.
-                guard.epoch += 1;
-                guard.serve.encoded_key = None;
-                guard.serve.delta_base = None;
-                // New state generation: whatever checkpoint exists describes
-                // the replaced state, so re-checkpoint at the next sweep.
-                guard.checkpointed_cycle = None;
-                return Response::SessionCreated { session: id };
-            }
+        let mut fresh = Some(Session::new(simulator, envelope.program, None));
+        let replaced = replace
+            && self
+                .with_session(id, |current| {
+                    // New state generation behind the same id: bump the
+                    // serve epoch so the cached GetState payload (keyed by
+                    // epoch + cycle) can never be served for the replaced
+                    // state.  The delta base goes (the client's held
+                    // snapshot no longer descends from this session's
+                    // history), and so does the checkpoint mark (whatever
+                    // checkpoint exists describes the replaced state).
+                    let fresh = fresh.take().expect("the fresh session is installed once");
+                    *current = Session { epoch: current.epoch + 1, ..fresh };
+                })
+                .is_some();
+        if replaced {
+            return Response::SessionCreated { session: id };
         }
-        let session = Session {
-            simulator,
-            serve: ServeCache::default(),
-            program: envelope.program,
-            config: envelope.architecture,
-            epoch: 0,
-            checkpointed_cycle: None,
-        };
-        match self.install_session(id, session) {
+        match self.install_session(id, fresh.expect("not installed by a replace")) {
             Ok(()) => Response::SessionCreated { session: id },
             Err(e) => Response::error(e),
         }
@@ -897,14 +820,7 @@ impl SimulationServer {
                     }
                     None => self.next_session.fetch_add(1, Ordering::Relaxed),
                 };
-                let session = Session {
-                    simulator,
-                    serve: ServeCache::default(),
-                    program: program.to_string(),
-                    config: config.clone(),
-                    epoch: 0,
-                    checkpointed_cycle: None,
-                };
+                let session = Session::new(simulator, program.to_string(), None);
                 match self.install_session(id, session) {
                     Ok(()) => Response::SessionCreated { session: id },
                     Err(e) => Response::error(e),
@@ -941,7 +857,6 @@ impl SimulationServer {
         let slot = SessionSlot {
             last_touched_ms: AtomicU64::new(self.now_ms()),
             session: Mutex::new(session),
-            steps: StepQueue::default(),
         };
         shard.insert(id, Arc::new(slot));
         drop(shard);
@@ -949,125 +864,25 @@ impl SimulationServer {
         Ok(())
     }
 
-    /// Execute a `Step` through the session's flat-combining queue.
-    ///
-    /// The request enqueues a ticket.  If no combiner is active, this thread
-    /// becomes it: it takes the session lock and drains the queue in arrival
-    /// order — its own ticket and any that pile up while it simulates —
-    /// publishing each ticket's cumulative `(cycle, halted)` result.
-    /// Otherwise the active combiner will execute the ticket, and this
-    /// thread sleeps on the condvar until its response is published.
-    ///
-    /// Responses and final simulator state are byte-identical to the same
-    /// requests arriving strictly sequentially (each ticket observes the
-    /// cycle counter after exactly its own cycles on top of its
-    /// predecessors'): coalescing changes *which thread* turns the crank,
-    /// never what the crank does.
-    fn coalesced_step(
-        &self,
-        session_id: u64,
-        slot: &SessionSlot,
-        cycles: u64,
-        request_id: u64,
-    ) -> Response {
-        let queue = &slot.steps;
-        let ticket = {
-            let mut inner = queue.inner.lock();
-            if inner.closed {
-                // The session was destroyed or evicted between lookup and
-                // enqueue: fail like the lookup would have.
-                return unknown_session(session_id);
-            }
-            let id = inner.next_ticket;
-            inner.next_ticket += 1;
-            inner.pending.push_back(StepTicket { id, cycles });
-            if inner.combining {
-                let waiters = inner.pending.len() as u64;
-                loop {
-                    if let Some(response) = inner.finished.remove(&id) {
-                        if !response.is_error() {
-                            self.coalesced_steps.fetch_add(1, Ordering::Relaxed);
-                            self.obs.journal.record(
-                                Event::new(EventKind::CoalesceJoin, self.obs.journal.now_us())
-                                    .request(request_id)
-                                    .session(session_id)
-                                    .fields(waiters, cycles),
-                            );
-                        }
-                        return response;
-                    }
-                    inner = queue.ready.wait(inner).unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-            inner.combining = true;
-            id
-        };
+    /// Run `f` on session `id` under its lock: the one path of every
+    /// request that reads or changes a session (`DestroySession` alone
+    /// skips it, so as not to restore a spilled session only to remove
+    /// it).  `None` when the session is unknown, or was removed
+    /// (destroyed, serialized away or evicted) while this request waited
+    /// for its lock.
+    fn with_session<T>(&self, id: u64, f: impl FnOnce(&mut Session) -> T) -> Option<T> {
+        let slot = self.session(id)?;
         let mut session = slot.session.lock();
-        let mut own_response = None;
-        loop {
-            let batch: Vec<StepTicket> = {
-                let mut inner = queue.inner.lock();
-                if inner.pending.is_empty() {
-                    // Hand back combiner duty under the queue lock: a ticket
-                    // enqueued after this point sees `combining == false`
-                    // and combines for itself instead of waiting forever.
-                    inner.combining = false;
-                    break;
-                }
-                inner.pending.drain(..).collect()
-            };
-            let mut published = Vec::new();
-            for t in &batch {
-                let sim = &mut session.simulator;
-                for _ in 0..t.cycles {
-                    sim.step();
-                }
-                let response = Response::Stepped { cycle: sim.cycle(), halted: sim.is_halted() };
-                if t.id == ticket {
-                    own_response = Some(response);
-                } else {
-                    published.push((t.id, response));
-                }
-            }
-            if !published.is_empty() {
-                let mut inner = queue.inner.lock();
-                for (id, response) in published {
-                    inner.finished.insert(id, response);
-                }
-                queue.ready.notify_all();
-            }
+        if session.removed {
+            return None;
         }
-        // Still holding the session lock: if the batch pushed the session
-        // past the dirty-cycle threshold, checkpoint it now instead of
-        // letting up to a full interval of progress sit only in memory.
-        self.maybe_checkpoint_dirty(session_id, &mut session);
-        drop(session);
-        match own_response {
-            Some(response) => response,
-            // A concurrent destroy closed the queue before this combiner
-            // drained its batch: the closer already published our ticket's
-            // `unknown session` error.
-            None => queue
-                .inner
-                .lock()
-                .finished
-                .remove(&ticket)
-                .unwrap_or_else(|| unknown_session(session_id)),
+        let answer = f(&mut session);
+        // `Step` and `Run` can advance far past the dirty threshold in one
+        // request; read-only requests fail the cheap cycle check.
+        if !session.removed {
+            self.maybe_checkpoint_dirty(id, &mut session);
         }
-    }
-
-    fn with_session(&self, id: u64, f: impl FnOnce(&mut Session) -> Response) -> Response {
-        match self.session(id) {
-            Some(slot) => {
-                let mut guard = slot.session.lock();
-                let response = f(&mut guard);
-                // `Run` can advance far past the dirty threshold in one
-                // request; read-only requests fail the cheap cycle check.
-                self.maybe_checkpoint_dirty(id, &mut guard);
-                response
-            }
-            None => unknown_session(id),
-        }
+        Some(answer)
     }
 
     /// Checkpoint `session` if it has advanced at least the dirty-cycle
@@ -1118,7 +933,9 @@ impl SimulationServer {
     /// Checkpoint every resident session whose state has moved since its
     /// last checkpoint.  Sessions whose lock is held (a request is
     /// mid-flight) are skipped — the next sweep, or the request's own
-    /// dirty-threshold check, catches them.
+    /// dirty-threshold check, catches them — and so are sessions removed
+    /// since the sweep listed them, whose checkpoint is gone or belongs to
+    /// their new owner.
     pub fn checkpoint_dirty_sessions(&self) -> usize {
         let Some(ckpt) = &self.checkpoints else { return 0 };
         let mut written = 0;
@@ -1128,7 +945,7 @@ impl SimulationServer {
             for (id, slot) in slots {
                 let Some(mut session) = slot.session.try_lock() else { continue };
                 let cycle = session.simulator.cycle();
-                if session.checkpointed_cycle == Some(cycle) {
+                if session.removed || session.checkpointed_cycle == Some(cycle) {
                     continue;
                 }
                 let envelope = SessionEnvelope::capture(id, &session.simulator, &session.program);
@@ -1174,23 +991,21 @@ impl SimulationServer {
         sessions
             .iter()
             .map(|&id| {
-                if let Some(slot) = self.shards[shard_index(id)].read().get(&id).cloned() {
-                    let cycle = slot.session.lock().simulator.cycle();
-                    return RecoverOutcome {
-                        session: id,
-                        ok: true,
-                        already_live: true,
-                        cycle,
-                        staleness_ms: 0,
-                        error: None,
-                    };
-                }
-                let age = self.checkpoints.as_ref().and_then(|c| c.store.age_of(id));
-                match self.restore_from_disk(id) {
+                // The shard lock goes before the session lock is taken: a
+                // removal holds the session lock while it takes the shard's
+                // write lock.
+                let resident = self.shards[shard_index(id)].read().get(&id).cloned();
+                let already_live = resident.is_some();
+                let age = if already_live {
+                    None
+                } else {
+                    self.checkpoints.as_ref().and_then(|c| c.store.age_of(id))
+                };
+                match resident.map_or_else(|| self.restore_from_disk(id), Ok) {
                     Ok(slot) => RecoverOutcome {
                         session: id,
                         ok: true,
-                        already_live: false,
+                        already_live,
                         cycle: slot.session.lock().simulator.cycle(),
                         staleness_ms: age.map_or(0, |a| a.as_millis() as u64),
                         error: None,
@@ -1198,7 +1013,7 @@ impl SimulationServer {
                     Err(e) => RecoverOutcome {
                         session: id,
                         ok: false,
-                        already_live: false,
+                        already_live,
                         cycle: 0,
                         staleness_ms: 0,
                         error: Some(e),
@@ -1245,10 +1060,27 @@ loop:
     ret
 ";
 
+    /// A loop far longer than any test's cycle budget: the simulator never
+    /// halts, so every `Step` advances the cycle counter by its full count.
+    const LONG_PROGRAM: &str = "
+main:
+    li   t0, 0
+    li   t1, 1000000
+loop:
+    addi t0, t0, 1
+    bne  t0, t1, loop
+    mv   a0, t0
+    ret
+";
+
     fn server() -> SimulationServer {
+        server_compressing(false)
+    }
+
+    fn server_compressing(compress: bool) -> SimulationServer {
         SimulationServer::new(DeploymentConfig {
             mode: DeploymentMode::Direct,
-            compress_responses: false,
+            compress_responses: compress,
             idle_session_ttl_seconds: None,
         })
     }
@@ -1271,10 +1103,14 @@ loop:
     }
 
     fn create(server: &SimulationServer) -> u64 {
+        create_with(server, PROGRAM)
+    }
+
+    fn create_with(server: &SimulationServer, program: &str) -> u64 {
         match call(
             server,
             Request::CreateSession {
-                program: PROGRAM.into(),
+                program: program.into(),
                 architecture: None,
                 entry: None,
                 session: None,
@@ -1451,11 +1287,7 @@ loop:
     #[test]
     fn raw_payload_round_trip_with_and_without_compression() {
         for compress in [false, true] {
-            let server = SimulationServer::new(DeploymentConfig {
-                mode: DeploymentMode::Direct,
-                compress_responses: compress,
-                idle_session_ttl_seconds: None,
-            });
+            let server = server_compressing(compress);
             let id = create(&server);
             let request = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
             let payload = server.handle_raw(&request);
@@ -1491,6 +1323,37 @@ loop:
         assert!(answered.is_error(), "{answered:?}");
         assert!(serde_json::from_slice::<serde_json::Value>(&nested(128)).is_ok());
         assert!(serde_json::from_slice::<serde_json::Value>(&nested(129)).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_sources_are_in_band_errors() {
+        // A `Compile` of 1,000 nested parentheses is 2 KB, and an operand of
+        // 100,000 is a 200 KB program: each used to run a dispatch worker's
+        // 2 MiB stack out and abort the whole process.
+        let compile = Request::Compile {
+            source: format!(
+                "int main(void) {{ return {}1{}; }}",
+                "(".repeat(1_000),
+                ")".repeat(1_000)
+            ),
+            optimization: 2,
+        };
+        let operand = format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000));
+        let create = Request::CreateSession {
+            program: format!("main:\n  li a0, {operand}\n  ret\n"),
+            architecture: None,
+            entry: None,
+            session: None,
+        };
+        let answers = std::thread::spawn(move || [compile, create].map(|r| call(&server(), r)))
+            .join()
+            .expect("the dispatching thread survives");
+        for answer in answers {
+            match answer {
+                Response::Error { message } => assert!(message.contains("deeper"), "{message}"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1545,11 +1408,7 @@ loop:
         // of a simulator stepped in lockstep, from the fresh session through
         // mid-run to the halted state, both with and without compression.
         for compress in [false, true] {
-            let server = SimulationServer::new(DeploymentConfig {
-                mode: DeploymentMode::Direct,
-                compress_responses: compress,
-                idle_session_ttl_seconds: None,
-            });
+            let server = server_compressing(compress);
             let id = create(&server);
             let mut sim =
                 Simulator::from_assembly(PROGRAM, &ArchitectureConfig::default()).unwrap();
@@ -1642,11 +1501,7 @@ loop:
 
     #[test]
     fn compression_shrinks_state_payloads() {
-        let compressed_server = SimulationServer::new(DeploymentConfig {
-            mode: DeploymentMode::Direct,
-            compress_responses: true,
-            idle_session_ttl_seconds: None,
-        });
+        let compressed_server = server_compressing(true);
         let plain_server = server();
         let id_c = create(&compressed_server);
         let id_p = create(&plain_server);
@@ -1670,11 +1525,7 @@ loop:
         // buffer (pointer identity), not an equal copy: the cached payload
         // is a shared `Bytes` handle and serving it is a reference bump.
         for compress in [false, true] {
-            let server = SimulationServer::new(DeploymentConfig {
-                mode: DeploymentMode::Direct,
-                compress_responses: compress,
-                idle_session_ttl_seconds: None,
-            });
+            let server = server_compressing(compress);
             let id = create(&server);
             call(&server, Request::Step { session: id, cycles: 7 });
             let request = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
@@ -1790,56 +1641,20 @@ loop:
     }
 
     #[test]
-    fn sequential_steps_never_count_as_coalesced() {
-        let server = server();
-        let id = create(&server);
-        for i in 1..=10u64 {
-            let r = call(&server, Request::Step { session: id, cycles: 1 });
-            assert_eq!(r, Response::Stepped { cycle: i, halted: false });
-        }
-        assert_eq!(server.coalesced_step_count(), 0, "no concurrency, no coalescing");
-    }
-
-    #[test]
-    fn concurrent_steps_coalesce_to_the_sequential_result() {
+    fn concurrent_steps_serialize_to_the_sequential_result() {
         // N threads hammer one session with Step requests.  Whatever the
-        // interleaving, the combiner must (a) account for every requested
-        // cycle exactly once, (b) give each request a cumulative result as
-        // if it ran alone in its arrival slot, and (c) leave the session in
-        // a state byte-identical to the same total stepped sequentially.
+        // interleaving, the session lock must (a) account for every
+        // requested cycle exactly once, (b) give each request a cumulative
+        // result as if it ran alone in its arrival slot, and (c) leave the
+        // session in a state byte-identical to the same total stepped
+        // sequentially.
         const THREADS: usize = 8;
         const STEPS_PER_THREAD: u64 = 5;
         const CYCLES_PER_STEP: u64 = 3;
-        // A loop long enough that the simulator never halts inside the
-        // test's cycle budget (a halted simulator stops advancing the cycle
-        // counter, which would collapse the cumulative lattice).
-        const LONG_PROGRAM: &str = "
-main:
-    li   t0, 0
-    li   t1, 1000000
-loop:
-    addi t0, t0, 1
-    bne  t0, t1, loop
-    mv   a0, t0
-    ret
-";
-        let create_long = |server: &SimulationServer| -> u64 {
-            match call(
-                server,
-                Request::CreateSession {
-                    program: LONG_PROGRAM.into(),
-                    architecture: None,
-                    entry: None,
-                    session: None,
-                },
-            ) {
-                Response::SessionCreated { session } => session,
-                other => panic!("unexpected response {other:?}"),
-            }
-        };
-
+        // On a program that halted, the cycle counter would stop and
+        // collapse the cumulative lattice.
         let concurrent = Arc::new(server());
-        let id = create_long(&concurrent);
+        let id = create_with(&concurrent, LONG_PROGRAM);
         let barrier = Arc::new(std::sync::Barrier::new(THREADS));
         let mut threads = Vec::new();
         for _ in 0..THREADS {
@@ -1870,7 +1685,7 @@ loop:
 
         // (a) + (c): final state equals a sequential run of the same total.
         let sequential = server();
-        let id_seq = create_long(&sequential);
+        let id_seq = create_with(&sequential, LONG_PROGRAM);
         call(&sequential, Request::Step { session: id_seq, cycles: total });
         let raw_conc = serde_json::to_vec(&Request::GetState { session: id }).unwrap();
         let raw_seq = serde_json::to_vec(&Request::GetState { session: id_seq }).unwrap();
@@ -1880,11 +1695,8 @@ loop:
         // match byte for byte.
         assert_eq!(
             conc_payload, seq_payload,
-            "coalesced execution must leave byte-identical state"
+            "concurrent execution must leave byte-identical state"
         );
-        // The coalescing counter never exceeds the requests that could have
-        // been combined (everything but the combiner passes themselves).
-        assert!(concurrent.coalesced_step_count() <= (THREADS as u64 * STEPS_PER_THREAD));
     }
 
     #[test]
@@ -1976,21 +1788,6 @@ loop:
         assert_eq!(fresh, reference_state(&sim, false));
     }
 
-    fn create_with(server: &SimulationServer, program: &str) -> u64 {
-        match call(
-            server,
-            Request::CreateSession {
-                program: program.into(),
-                architecture: None,
-                entry: None,
-                session: None,
-            },
-        ) {
-            Response::SessionCreated { session } => session,
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-
     #[test]
     fn explicit_session_ids_are_honored_and_collisions_fail() {
         let server = server();
@@ -2025,68 +1822,112 @@ loop:
     }
 
     #[test]
-    fn eviction_skips_sessions_with_queued_step_work() {
-        let server = SimulationServer::new(DeploymentConfig {
-            mode: DeploymentMode::Direct,
-            compress_responses: false,
-            idle_session_ttl_seconds: Some(1),
-        });
+    fn eviction_skips_a_session_a_request_holds() {
+        let server = server();
         let id = create(&server);
-        let slot = server.session(id).unwrap();
-        // Simulate a Step mid-coalescing: a ticket is queued and a combiner
-        // is (about to be) active.  The session lock itself is free — which
-        // is exactly the window the old sweep evicted in.
-        {
-            let mut inner = slot.steps.inner.lock();
-            inner.pending.push_back(StepTicket { id: 0, cycles: 1 });
-            inner.combining = true;
-        }
+        // A request between its lookup and the session lock: the lock is
+        // free, which is the window a lock-only check evicts in.
+        let held = server.session(id).unwrap();
         server.advance_clock(10_000);
         assert_eq!(
             server.evict_idle_older_than(Duration::ZERO),
             0,
-            "a session with queued step work must not be evicted"
+            "a session a request holds must not be evicted"
         );
         assert_eq!(server.session_count(), 1);
-        // Once the queue is quiet the sweep takes it.
-        {
-            let mut inner = slot.steps.inner.lock();
-            inner.pending.clear();
-            inner.combining = false;
-        }
+        // Once the request has answered, the sweep takes it.
+        drop(held);
         assert_eq!(server.evict_idle_older_than(Duration::ZERO), 1);
         assert_eq!(server.session_count(), 0);
     }
 
     #[test]
-    fn destroy_wakes_queued_step_waiters_with_an_error() {
-        // Regression: a Step waiting on the coalescing condvar while the
-        // session is destroyed used to sleep forever (nobody combined its
-        // ticket).  The destroy must fail the queued ticket and wake it.
+    fn requests_waiting_on_a_removed_session_answer_unknown_session() {
+        // A request that looked a session up and waits for its lock while
+        // the session is serialized away must not act on the stale copy:
+        // the envelope already moved to the new owner at the old cycle.
+        let requests = |id| {
+            [
+                Request::Step { session: id, cycles: 1 },
+                Request::StepBack { session: id, cycles: 1 },
+                Request::Run { session: id, max_cycles: 9 },
+                Request::GetStats { session: id },
+            ]
+        };
+        let server = Arc::new(server());
+        for index in 0..requests(0).len() {
+            let id = create(&server);
+            call(&server, Request::Step { session: id, cycles: 5 });
+            let slot = server.session(id).unwrap();
+            let mut session = slot.session.lock();
+            let waiter = {
+                let server = Arc::clone(&server);
+                let request = requests(id)[index].clone();
+                std::thread::spawn(move || call(&server, request))
+            };
+            // The waiter holds its own clone of the slot once it has looked
+            // the session up; it can take the lock only after the removal.
+            while Arc::strong_count(&slot) < 3 {
+                std::thread::yield_now();
+            }
+            // What `SerializeSession { destroy: true }` does with the lock.
+            let envelope = SessionEnvelope::capture(id, &session.simulator, &session.program);
+            server.vacate(id, &mut session);
+            drop(session);
+            let answer = waiter.join().unwrap();
+            assert_eq!(answer, unknown_session(id), "{:?}", requests(id)[index]);
+            assert_eq!(envelope.cycle, 5);
+            assert_eq!(server.session_count(), 0);
+        }
+        // A destroy that waited answers the same way.
+        let id = create(&server);
+        let slot = server.session(id).unwrap();
+        let mut session = slot.session.lock();
+        let waiter = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || call(&server, Request::DestroySession { session: id }))
+        };
+        while Arc::strong_count(&slot) < 3 {
+            std::thread::yield_now();
+        }
+        server.vacate(id, &mut session);
+        drop(session);
+        assert_eq!(waiter.join().unwrap(), unknown_session(id));
+    }
+
+    #[test]
+    fn recover_sessions_waits_for_a_session_lock_without_its_shard_lock() {
         let server = Arc::new(server());
         let id = create(&server);
         let slot = server.session(id).unwrap();
-        // Pose as an active combiner so the spawned Step becomes a waiter.
-        slot.steps.inner.lock().combining = true;
-
-        let waiter = {
+        let session = slot.session.lock();
+        let recover = {
             let server = Arc::clone(&server);
-            std::thread::spawn(move || call(&server, Request::Step { session: id, cycles: 1 }))
+            std::thread::spawn(move || server.recover_sessions(&[id]))
         };
-        // Give the waiter time to enqueue and block on the condvar.
-        while slot.steps.inner.lock().pending.is_empty() {
+        while Arc::strong_count(&slot) < 3 {
             std::thread::yield_now();
         }
-        std::thread::sleep(Duration::from_millis(20));
-
-        assert_eq!(call(&server, Request::DestroySession { session: id }), Response::Destroyed);
-        let response = waiter.join().unwrap();
-        assert!(response.is_error(), "queued waiter must fail, got {response:?}");
-
-        // And a Step racing in *after* the close errors instead of stepping
-        // the removed simulator.
-        let late = server.coalesced_step(id, &slot, 1, 0);
-        assert!(late.is_error(), "post-close Step must fail, got {late:?}");
+        // A create in the same shard needs its write lock, as a removal
+        // under this session's lock does: it must not wait for the lock
+        // this test holds.
+        let neighbour = (id + 1..).find(|&n| shard_index(n) == shard_index(id)).unwrap();
+        let (created, answer) = std::sync::mpsc::channel();
+        let creator = {
+            let server = Arc::clone(&server);
+            let request = Request::CreateSession {
+                program: PROGRAM.into(),
+                architecture: None,
+                entry: None,
+                session: Some(neighbour),
+            };
+            std::thread::spawn(move || created.send(call(&server, request)).unwrap())
+        };
+        let answered = answer.recv_timeout(Duration::from_secs(5));
+        drop(session);
+        assert_eq!(answered, Ok(Response::SessionCreated { session: neighbour }));
+        assert!(recover.join().unwrap()[0].already_live);
+        creator.join().unwrap();
     }
 
     #[test]
@@ -2220,18 +2061,6 @@ loop:
 
     #[test]
     fn dirty_cycle_threshold_checkpoints_mid_interval() {
-        // A loop far longer than the test's cycle budget: the simulator
-        // must never halt, so every Step/Run advances the full request.
-        const LONG_PROGRAM: &str = "
-main:
-    li   t0, 0
-    li   t1, 1000000
-loop:
-    addi t0, t0, 1
-    bne  t0, t1, loop
-    mv   a0, t0
-    ret
-";
         let dir = temp_state_dir();
         let server = server_with_checkpoints(&dir, 10);
         let id = create_with(&server, LONG_PROGRAM);
